@@ -10,7 +10,7 @@
 //! The machines here are sans-I/O: they consume events and return packets
 //! to send / payloads to deliver, so any event loop can drive them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// A PGM protocol message carrying payload `T`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,23 +37,27 @@ pub enum PgmPacket<T> {
 /// # Examples
 ///
 /// ```
-/// use netsim::pgm::{PgmReceiver, PgmSender};
+/// use netsim::pgm::{PgmReceiver, PgmSender, RxOutput};
 /// let mut tx = PgmSender::new(64);
 /// let mut rx = PgmReceiver::new();
+/// let mut out = RxOutput::default();
 /// let p0 = tx.send("a");
 /// let p1 = tx.send("b");
 /// // p0 is lost; rx sees p1 first and NAKs seq 0.
-/// let out = rx.on_packet(p1);
+/// rx.on_packet(p1, &mut out);
 /// assert!(out.delivered.is_empty());
 /// assert_eq!(out.nak_missing, vec![0]);
-/// let retx = tx.on_nak(&out.nak_missing);
-/// let out = rx.on_packet(retx.into_iter().next().unwrap());
+/// let retx = tx.on_nak(&out.nak_missing).next().unwrap();
+/// rx.on_packet(retx, &mut out);
 /// assert_eq!(out.delivered, vec!["a", "b"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PgmSender<T> {
     next_seq: u64,
-    history: BTreeMap<u64, T>,
+    /// The last `window` payloads, oldest first: `history[i]` carries
+    /// sequence `next_seq - history.len() + i`. A ring buffer, so a
+    /// steady-state send allocates nothing.
+    history: VecDeque<T>,
     window: usize,
 }
 
@@ -67,7 +71,7 @@ impl<T: Clone> PgmSender<T> {
         assert!(window > 0, "history window must be positive");
         PgmSender {
             next_seq: 0,
-            history: BTreeMap::new(),
+            history: VecDeque::new(),
             window,
         }
     }
@@ -76,11 +80,10 @@ impl<T: Clone> PgmSender<T> {
     pub fn send(&mut self, payload: T) -> PgmPacket<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.history.insert(seq, payload.clone());
-        while self.history.len() > self.window {
-            let oldest = *self.history.keys().next().expect("non-empty");
-            self.history.remove(&oldest);
+        if self.history.len() == self.window {
+            self.history.pop_front();
         }
+        self.history.push_back(payload.clone());
         PgmPacket::Data {
             seq,
             payload,
@@ -88,20 +91,19 @@ impl<T: Clone> PgmSender<T> {
         }
     }
 
-    /// Produces retransmissions for the requested sequence numbers.
-    /// Sequences that have aged out of the history are silently skipped
-    /// (matching PGM's bounded-window semantics).
-    pub fn on_nak(&self, missing: &[u64]) -> Vec<PgmPacket<T>> {
-        missing
-            .iter()
-            .filter_map(|seq| {
-                self.history.get(seq).map(|payload| PgmPacket::Data {
-                    seq: *seq,
-                    payload: payload.clone(),
-                    retransmit: true,
-                })
+    /// Produces retransmissions for the requested sequence numbers, in
+    /// request order. Sequences that have aged out of the history are
+    /// silently skipped (matching PGM's bounded-window semantics).
+    pub fn on_nak<'a>(&'a self, missing: &'a [u64]) -> impl Iterator<Item = PgmPacket<T>> + 'a {
+        let oldest = self.next_seq - self.history.len() as u64;
+        missing.iter().filter_map(move |&seq| {
+            let idx = usize::try_from(seq.checked_sub(oldest)?).ok()?;
+            self.history.get(idx).map(|payload| PgmPacket::Data {
+                seq,
+                payload: payload.clone(),
+                retransmit: true,
             })
-            .collect()
+        })
     }
 
     /// Next sequence number to be assigned.
@@ -110,13 +112,24 @@ impl<T: Clone> PgmSender<T> {
     }
 }
 
-/// What a receiver wants done after consuming a packet.
+/// What a receiver wants done after consuming a packet. Callers keep one
+/// and pass it to every [`PgmReceiver::on_packet`], which clears and
+/// refills it, so its buffers are reused rather than rebuilt per packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RxOutput<T> {
     /// Payloads now deliverable in order.
     pub delivered: Vec<T>,
     /// Gap sequences to NAK (empty if none detected by this packet).
     pub nak_missing: Vec<u64>,
+}
+
+impl<T> Default for RxOutput<T> {
+    fn default() -> Self {
+        RxOutput {
+            delivered: Vec::new(),
+            nak_missing: Vec::new(),
+        }
+    }
 }
 
 /// Receiver half: reorders, detects gaps, requests retransmission.
@@ -137,18 +150,25 @@ impl<T> PgmReceiver<T> {
         }
     }
 
-    /// Consumes one packet; returns in-order deliveries and fresh NAKs.
-    /// `Nak` packets addressed to senders are ignored by receivers.
-    pub fn on_packet(&mut self, pkt: PgmPacket<T>) -> RxOutput<T> {
-        let mut out = RxOutput {
-            delivered: Vec::new(),
-            nak_missing: Vec::new(),
-        };
+    /// Consumes one packet; replaces `out`'s contents with the in-order
+    /// deliveries and fresh NAKs. `Nak` packets addressed to senders are
+    /// ignored by receivers.
+    pub fn on_packet(&mut self, pkt: PgmPacket<T>, out: &mut RxOutput<T>) {
+        out.delivered.clear();
+        out.nak_missing.clear();
         let PgmPacket::Data { seq, payload, .. } = pkt else {
-            return out;
+            return;
         };
         if seq < self.expected || self.buffer.contains_key(&seq) {
-            return out; // duplicate
+            return; // duplicate
+        }
+        if seq == self.expected && self.buffer.is_empty() {
+            // In-order with no gap open (the common case): deliver
+            // straight through, without a round trip via the reorder
+            // buffer. With no gap there is nothing to NAK either.
+            out.delivered.push(payload);
+            self.expected += 1;
+            return;
         }
         self.buffer.insert(seq, payload);
         // Deliver the in-order prefix.
@@ -166,7 +186,6 @@ impl<T> PgmReceiver<T> {
             }
         }
         self.nakked.retain(|s| *s >= self.expected);
-        out
     }
 
     /// Re-raises NAKs for still-missing gaps (call on a timer; PGM NAKs are
@@ -190,13 +209,21 @@ impl<T> PgmReceiver<T> {
 mod tests {
     use super::*;
 
+    /// Feeds one packet to `rx` and returns what it produced.
+    fn feed<T: Clone>(rx: &mut PgmReceiver<T>, pkt: PgmPacket<T>) -> RxOutput<T> {
+        let mut out = RxOutput::default();
+        rx.on_packet(pkt, &mut out);
+        out
+    }
+
     #[test]
     fn in_order_delivery() {
         let mut tx = PgmSender::new(16);
         let mut rx = PgmReceiver::new();
+        let mut out = RxOutput::default();
         for i in 0..5 {
-            let out = rx.on_packet(tx.send(i));
-            assert_eq!(out.delivered, vec![i]);
+            rx.on_packet(tx.send(i), &mut out);
+            assert_eq!(out.delivered, vec![i], "the output buffer is refilled");
             assert!(out.nak_missing.is_empty());
         }
         assert_eq!(rx.expected(), 5);
@@ -208,10 +235,10 @@ mod tests {
         let mut rx = PgmReceiver::new();
         let p0 = tx.send("a");
         let p1 = tx.send("b");
-        let out1 = rx.on_packet(p1);
+        let out1 = feed(&mut rx, p1);
         assert!(out1.delivered.is_empty());
         assert_eq!(out1.nak_missing, vec![0]); // it can't tell reorder from loss
-        let out0 = rx.on_packet(p0);
+        let out0 = feed(&mut rx, p0);
         assert_eq!(out0.delivered, vec!["a", "b"]);
     }
 
@@ -222,13 +249,13 @@ mod tests {
         let _lost = tx.send(10);
         let p1 = tx.send(11);
         let p2 = tx.send(12);
-        let o1 = rx.on_packet(p1);
+        let o1 = feed(&mut rx, p1);
         assert_eq!(o1.nak_missing, vec![0]);
-        let o2 = rx.on_packet(p2);
+        let o2 = feed(&mut rx, p2);
         assert!(o2.nak_missing.is_empty(), "NAK only raised once per gap");
-        let retx = tx.on_nak(&[0]);
+        let retx: Vec<_> = tx.on_nak(&[0]).collect();
         assert_eq!(retx.len(), 1);
-        let o3 = rx.on_packet(retx.into_iter().next().unwrap());
+        let o3 = feed(&mut rx, retx.into_iter().next().unwrap());
         assert_eq!(o3.delivered, vec![10, 11, 12]);
     }
 
@@ -237,8 +264,8 @@ mod tests {
         let mut tx = PgmSender::new(16);
         let mut rx = PgmReceiver::new();
         let p0 = tx.send(1);
-        assert_eq!(rx.on_packet(p0.clone()).delivered, vec![1]);
-        assert!(rx.on_packet(p0).delivered.is_empty());
+        assert_eq!(feed(&mut rx, p0.clone()).delivered, vec![1]);
+        assert!(feed(&mut rx, p0).delivered.is_empty());
     }
 
     #[test]
@@ -247,8 +274,22 @@ mod tests {
         tx.send(0);
         tx.send(1);
         tx.send(2); // seq 0 aged out
-        assert!(tx.on_nak(&[0]).is_empty());
-        assert_eq!(tx.on_nak(&[1, 2]).len(), 2);
+        assert_eq!(tx.on_nak(&[0]).count(), 0);
+        assert_eq!(tx.on_nak(&[1, 2]).count(), 2);
+        assert_eq!(tx.on_nak(&[3]).count(), 0, "never sent");
+        let seqs: Vec<u64> = tx
+            .on_nak(&[2, 1])
+            .map(|p| match p {
+                PgmPacket::Data {
+                    seq, retransmit, ..
+                } => {
+                    assert!(retransmit);
+                    seq
+                }
+                PgmPacket::Nak { .. } => unreachable!(),
+            })
+            .collect();
+        assert_eq!(seqs, vec![2, 1], "retransmissions follow request order");
     }
 
     #[test]
@@ -259,15 +300,15 @@ mod tests {
         // Deliver only seqs 2 and 5.
         let p5 = pkts.remove(5);
         let p2 = pkts.remove(2);
-        rx.on_packet(p2);
-        rx.on_packet(p5);
+        feed(&mut rx, p2);
+        feed(&mut rx, p5);
         assert_eq!(rx.pending_naks(), vec![0, 1, 3, 4]);
     }
 
     #[test]
     fn nak_packet_to_receiver_is_noop() {
         let mut rx: PgmReceiver<u32> = PgmReceiver::new();
-        let out = rx.on_packet(PgmPacket::Nak { missing: vec![1] });
+        let out = feed(&mut rx, PgmPacket::Nak { missing: vec![1] });
         assert!(out.delivered.is_empty() && out.nak_missing.is_empty());
     }
 }

@@ -1,10 +1,14 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Sim<W>`] owns a priority queue of scheduled events. Each event is a
-//! closure receiving the engine (to schedule more events) and the user world
-//! `W`. Ties at equal timestamps are broken by scheduling order, making every
-//! run fully deterministic — a property the StopWatch reproduction leans on
-//! heavily (replica determinism is part of the defense itself).
+//! [`Sim<W>`] owns a priority queue of scheduled events. Events are plain
+//! values of the world's closed event type ([`World::Event`]); the engine
+//! hands each one back to [`World::handle`], which dispatches it by `match`
+//! and may schedule more. Nothing is boxed: a queued entry is its
+//! `(at, seq)` key plus the event value, so a steady-state run allocates
+//! nothing per event. Ties at equal timestamps are broken by scheduling
+//! order, making every run fully deterministic — a property the StopWatch
+//! reproduction leans on heavily (replica determinism is part of the
+//! defense itself).
 //!
 //! # Batched scheduling over a hierarchical time-wheel
 //!
@@ -22,7 +26,9 @@
 //! (`crate::wheel`): O(1) filing per event, occupancy-bitmap scans to the
 //! next timestamp, and pooled bucket storage so steady-state runs perform
 //! no queue allocations. The scalar reference loop keeps the original
-//! binary heap.
+//! binary heap. All three — wheel, lane and heap — store the same
+//! `(at, seq, event)` entries and dispatch through the same
+//! [`World::handle`].
 //!
 //! Batching changes only *where* events wait, never *when* or in what
 //! order they run: the execution order is identical to the scalar
@@ -42,28 +48,38 @@ use crate::wheel::Wheel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-type Handler<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W)>;
+/// A simulation world: the state events act on, and the dispatcher of its
+/// own closed event set.
+pub trait World: Sized {
+    /// Everything this world can schedule. It is stored inline in every
+    /// queue entry, so keep it small: park large payloads in the world and
+    /// carry an index.
+    type Event;
 
-struct Scheduled<W> {
-    at: SimTime,
-    seq: u64,
-    handler: Handler<W>,
+    /// Runs one event at `sim.now()`; may schedule or cancel others.
+    fn handle(&mut self, sim: &mut Sim<Self>, event: Self::Event);
 }
 
-impl<W> PartialEq for Scheduled<W> {
+struct Scheduled<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<W> Eq for Scheduled<W> {}
+impl<E> Eq for Scheduled<E> {}
 
-impl<W> PartialOrd for Scheduled<W> {
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<W> Ord for Scheduled<W> {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse for earliest-first, then FIFO.
         other
@@ -78,32 +94,50 @@ impl<W> Ord for Scheduled<W> {
 /// # Examples
 ///
 /// ```
-/// use simkit::engine::Sim;
+/// use simkit::engine::{Sim, World};
 /// use simkit::time::{SimDuration, SimTime};
 ///
-/// let mut sim: Sim<Vec<u64>> = Sim::new();
-/// let mut world = Vec::new();
-/// sim.schedule_in(SimDuration::from_millis(2), |_, w: &mut Vec<u64>| w.push(2));
-/// sim.schedule_in(SimDuration::from_millis(1), |sim, w: &mut Vec<u64>| {
-///     w.push(1);
-///     sim.schedule_in(SimDuration::from_millis(5), |_, w: &mut Vec<u64>| w.push(6));
-/// });
+/// #[derive(Default)]
+/// struct Log(Vec<u64>);
+///
+/// enum Ev {
+///     Record(u64),
+///     RecordThenLater(u64),
+/// }
+///
+/// impl World for Log {
+///     type Event = Ev;
+///     fn handle(&mut self, sim: &mut Sim<Self>, event: Ev) {
+///         match event {
+///             Ev::Record(x) => self.0.push(x),
+///             Ev::RecordThenLater(x) => {
+///                 self.0.push(x);
+///                 sim.schedule_in(SimDuration::from_millis(5), Ev::Record(6));
+///             }
+///         }
+///     }
+/// }
+///
+/// let mut sim: Sim<Log> = Sim::new();
+/// let mut world = Log::default();
+/// sim.schedule_in(SimDuration::from_millis(2), Ev::Record(2));
+/// sim.schedule_in(SimDuration::from_millis(1), Ev::RecordThenLater(1));
 /// sim.run(&mut world);
-/// assert_eq!(world, vec![1, 2, 6]);
+/// assert_eq!(world.0, vec![1, 2, 6]);
 /// assert_eq!(sim.now(), SimTime::from_millis(6));
 /// ```
-pub struct Sim<W> {
+pub struct Sim<W: World> {
     now: SimTime,
     next_seq: u64,
     /// Scalar-reference queue: only populated in scalar mode.
-    queue: BinaryHeap<Scheduled<W>>,
+    queue: BinaryHeap<Scheduled<W::Event>>,
     /// Batched-mode queue: a hierarchical time-wheel with pooled buckets.
-    wheel: Wheel<Handler<W>>,
+    wheel: Wheel<W::Event>,
     /// Same-time FIFO lane: events due exactly at `now`, in `seq` order.
     /// Invariant: whenever the lane is non-empty, every queued entry is
     /// strictly later than `now`, so draining the lane first preserves
     /// global `(at, seq)` order.
-    lane: VecDeque<Scheduled<W>>,
+    lane: VecDeque<Scheduled<W::Event>>,
     cancelled: FxHashSet<u64>,
     executed: u64,
     /// Run the pre-batching one-pop-per-event loop instead (differential
@@ -111,13 +145,13 @@ pub struct Sim<W> {
     scalar_reference: bool,
 }
 
-impl<W> Default for Sim<W> {
+impl<W: World> Default for Sim<W> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<W> Sim<W> {
+impl<W: World> Sim<W> {
     /// Creates an empty engine at time zero.
     pub fn new() -> Self {
         Sim {
@@ -147,16 +181,16 @@ impl<W> Sim<W> {
                 self.queue.push(ev);
             }
             let queue = &mut self.queue;
-            self.wheel.drain_all(&mut |at, seq, handler| {
+            self.wheel.drain_all(&mut |at, seq, event| {
                 queue.push(Scheduled {
                     at: SimTime::from_nanos(at),
                     seq,
-                    handler,
+                    event,
                 });
             });
         } else if !scalar && self.scalar_reference {
             for ev in std::mem::take(&mut self.queue) {
-                self.wheel.insert(ev.at.as_nanos(), ev.seq, ev.handler);
+                self.wheel.insert(ev.at.as_nanos(), ev.seq, ev.event);
             }
         }
         self.scalar_reference = scalar;
@@ -177,53 +211,37 @@ impl<W> Sim<W> {
         self.queue.len() + self.wheel.len() + self.lane.len()
     }
 
-    /// Schedules `handler` to run at absolute time `at`.
+    /// Schedules `event` to run at absolute time `at`.
     ///
     /// Events scheduled for a time earlier than `now` run "immediately" (at
     /// `now`): the engine never moves time backwards.
-    pub fn schedule(
-        &mut self,
-        at: SimTime,
-        handler: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: W::Event) -> EventId {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.scalar_reference {
-            self.queue.push(Scheduled {
-                at,
-                seq,
-                handler: Box::new(handler),
-            });
+            self.queue.push(Scheduled { at, seq, event });
         } else if at == self.now {
             // Same-time fast path: an event due right now joins the FIFO
             // lane (its seq is larger than everything staged there) and
             // skips the queue entirely.
-            self.lane.push_back(Scheduled {
-                at,
-                seq,
-                handler: Box::new(handler),
-            });
+            self.lane.push_back(Scheduled { at, seq, event });
         } else {
-            self.wheel.insert(at.as_nanos(), seq, Box::new(handler));
+            self.wheel.insert(at.as_nanos(), seq, event);
         }
         EventId(seq)
     }
 
-    /// Schedules `handler` to run `delay` after the current time.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        handler: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) -> EventId {
-        self.schedule(self.now + delay, handler)
+    /// Schedules `event` to run `delay` after the current time.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventId {
+        self.schedule(self.now + delay, event)
     }
 
     /// Cancels a previously scheduled event.
     ///
-    /// Returns `true` if the event had not yet run (it will be silently
-    /// dropped when its time comes). Cancelling an already-executed event
-    /// returns `false`.
+    /// Returns `true` if the event had not yet run: it is dropped unrun
+    /// when its time comes. Cancelling an already-executed event returns
+    /// `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.0 >= self.next_seq {
             return false;
@@ -257,7 +275,7 @@ impl<W> Sim<W> {
                     continue;
                 }
                 self.executed += 1;
-                (ev.handler)(self, world);
+                world.handle(self, ev.event);
             }
             // Advance to the next timestamp and stage its whole batch.
             let Some(t_nanos) = self.wheel.next_at() else {
@@ -279,15 +297,11 @@ impl<W> Sim<W> {
     fn stage_batch(&mut self, t_nanos: u64) {
         let t = SimTime::from_nanos(t_nanos);
         let (wheel, lane, cancelled) = (&mut self.wheel, &mut self.lane, &mut self.cancelled);
-        wheel.drain_at(t_nanos, &mut |seq, handler| {
+        wheel.drain_at(t_nanos, &mut |seq, event| {
             if !cancelled.is_empty() && cancelled.remove(&seq) {
                 return;
             }
-            lane.push_back(Scheduled {
-                at: t,
-                seq,
-                handler,
-            });
+            lane.push_back(Scheduled { at: t, seq, event });
         });
     }
 
@@ -307,7 +321,7 @@ impl<W> Sim<W> {
                 continue;
             }
             self.executed += 1;
-            (ev.handler)(self, world);
+            world.handle(self, ev.event);
         }
         self.now
     }
@@ -322,7 +336,7 @@ impl<W> Sim<W> {
                 }
                 self.executed += 1;
                 ran += 1;
-                (ev.handler)(self, world);
+                world.handle(self, ev.event);
                 continue;
             }
             if self.scalar_reference {
@@ -333,7 +347,7 @@ impl<W> Sim<W> {
                 }
                 self.executed += 1;
                 ran += 1;
-                (ev.handler)(self, world);
+                world.handle(self, ev.event);
                 continue;
             }
             // Lane empty: advance to the next timestamp and stage its
@@ -354,57 +368,81 @@ impl<W> Sim<W> {
 mod tests {
     use super::*;
 
+    /// Records every event value it runs.
+    #[derive(Default)]
+    struct Log(Vec<u32>);
+
+    impl World for Log {
+        type Event = u32;
+        fn handle(&mut self, _sim: &mut Sim<Self>, event: u32) {
+            self.0.push(event);
+        }
+    }
+
     #[test]
     fn runs_in_time_order() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule(SimTime::from_millis(30), |_, w: &mut Vec<u32>| w.push(3));
-        sim.schedule(SimTime::from_millis(10), |_, w: &mut Vec<u32>| w.push(1));
-        sim.schedule(SimTime::from_millis(20), |_, w: &mut Vec<u32>| w.push(2));
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
+        sim.schedule(SimTime::from_millis(30), 3);
+        sim.schedule(SimTime::from_millis(10), 1);
+        sim.schedule(SimTime::from_millis(20), 2);
         sim.run(&mut w);
-        assert_eq!(w, vec![1, 2, 3]);
+        assert_eq!(w.0, vec![1, 2, 3]);
     }
 
     #[test]
     fn equal_times_run_fifo() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
         let t = SimTime::from_millis(5);
         for i in 0..100 {
-            sim.schedule(t, move |_, w: &mut Vec<u32>| w.push(i));
+            sim.schedule(t, i);
         }
         sim.run(&mut w);
-        assert_eq!(w, (0..100).collect::<Vec<_>>());
+        assert_eq!(w.0, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn nested_scheduling() {
-        let mut sim: Sim<Vec<&'static str>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule_in(SimDuration::from_millis(1), |sim, w: &mut Vec<_>| {
-            w.push("outer");
-            sim.schedule_in(SimDuration::from_millis(1), |_, w: &mut Vec<_>| {
-                w.push("inner");
-            });
-        });
-        sim.schedule_in(SimDuration::from_millis(3), |_, w: &mut Vec<_>| {
-            w.push("late");
-        });
+        #[derive(Default)]
+        struct Nest(Vec<&'static str>);
+        enum Ev {
+            Outer,
+            Inner,
+            Late,
+        }
+        impl World for Nest {
+            type Event = Ev;
+            fn handle(&mut self, sim: &mut Sim<Self>, event: Ev) {
+                match event {
+                    Ev::Outer => {
+                        self.0.push("outer");
+                        sim.schedule_in(SimDuration::from_millis(1), Ev::Inner);
+                    }
+                    Ev::Inner => self.0.push("inner"),
+                    Ev::Late => self.0.push("late"),
+                }
+            }
+        }
+        let mut sim: Sim<Nest> = Sim::new();
+        let mut w = Nest::default();
+        sim.schedule_in(SimDuration::from_millis(1), Ev::Outer);
+        sim.schedule_in(SimDuration::from_millis(3), Ev::Late);
         sim.run(&mut w);
-        assert_eq!(w, vec!["outer", "inner", "late"]);
+        assert_eq!(w.0, vec!["outer", "inner", "late"]);
         assert_eq!(sim.now(), SimTime::from_millis(3));
     }
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
-        let id = sim.schedule(SimTime::from_millis(1), |_, w: &mut Vec<u32>| w.push(1));
-        sim.schedule(SimTime::from_millis(2), |_, w: &mut Vec<u32>| w.push(2));
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
+        let id = sim.schedule(SimTime::from_millis(1), 1);
+        sim.schedule(SimTime::from_millis(2), 2);
         assert!(sim.cancel(id));
         assert!(!sim.cancel(id), "double-cancel reports false");
         sim.run(&mut w);
-        assert_eq!(w, vec![2]);
+        assert_eq!(w.0, vec![2]);
         assert_eq!(sim.events_executed(), 1);
     }
 
@@ -412,61 +450,66 @@ mod tests {
     fn cancel_works_on_staged_same_time_events() {
         // An event already staged in the same-time lane (scheduled at
         // `now`) must still honour cancellation.
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
-        let id = sim.schedule(SimTime::ZERO, |_, w: &mut Vec<u32>| w.push(1));
-        sim.schedule(SimTime::ZERO, |_, w: &mut Vec<u32>| w.push(2));
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
+        let id = sim.schedule(SimTime::ZERO, 1);
+        sim.schedule(SimTime::ZERO, 2);
         assert!(sim.cancel(id));
         sim.run(&mut w);
-        assert_eq!(w, vec![2]);
+        assert_eq!(w.0, vec![2]);
     }
 
     #[test]
     fn cancel_unknown_id_is_false() {
-        let mut sim: Sim<()> = Sim::new();
+        let mut sim: Sim<Log> = Sim::new();
         assert!(!sim.cancel(EventId(42)));
     }
 
     #[test]
     fn run_until_respects_deadline() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule(SimTime::from_millis(1), |_, w: &mut Vec<u32>| w.push(1));
-        sim.schedule(SimTime::from_millis(10), |_, w: &mut Vec<u32>| w.push(10));
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
+        sim.schedule(SimTime::from_millis(1), 1);
+        sim.schedule(SimTime::from_millis(10), 10);
         let t = sim.run_until(&mut w, SimTime::from_millis(5));
-        assert_eq!(w, vec![1]);
+        assert_eq!(w.0, vec![1]);
         assert_eq!(t, SimTime::from_millis(5));
         sim.run(&mut w);
-        assert_eq!(w, vec![1, 10]);
+        assert_eq!(w.0, vec![1, 10]);
     }
 
     #[test]
     fn past_schedules_clamp_to_now() {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule(SimTime::from_millis(10), |sim, w: &mut Vec<u64>| {
-            // Scheduling "in the past" runs at now, not before.
-            sim.schedule(SimTime::from_millis(1), |sim, w: &mut Vec<u64>| {
-                w.push(sim.now().as_nanos());
-            });
-            w.push(sim.now().as_nanos());
-        });
+        /// Event `true` schedules a `false` child "in the past"; every
+        /// event records the time it ran at.
+        #[derive(Default)]
+        struct Times(Vec<u64>);
+        impl World for Times {
+            type Event = bool;
+            fn handle(&mut self, sim: &mut Sim<Self>, parent: bool) {
+                if parent {
+                    // Scheduling "in the past" runs at now, not before.
+                    sim.schedule(SimTime::from_millis(1), false);
+                }
+                self.0.push(sim.now().as_nanos());
+            }
+        }
+        let mut sim: Sim<Times> = Sim::new();
+        let mut w = Times::default();
+        sim.schedule(SimTime::from_millis(10), true);
         sim.run(&mut w);
-        assert_eq!(w, vec![10_000_000, 10_000_000]);
+        assert_eq!(w.0, vec![10_000_000, 10_000_000]);
     }
 
     #[test]
     fn step_runs_bounded_count() {
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
         for i in 0..5 {
-            sim.schedule(
-                SimTime::from_millis(i as u64),
-                move |_, w: &mut Vec<u32>| w.push(i),
-            );
+            sim.schedule(SimTime::from_millis(u64::from(i)), i);
         }
         assert_eq!(sim.step(&mut w, 2), 2);
-        assert_eq!(w, vec![0, 1]);
+        assert_eq!(w.0, vec![0, 1]);
         assert_eq!(sim.step(&mut w, 10), 3);
     }
 
@@ -474,17 +517,17 @@ mod tests {
     fn step_interrupting_a_same_time_batch_keeps_fifo_order() {
         // step() stops mid-batch; a fresh same-time schedule must still run
         // after the staged remainder of the batch.
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
         let t = SimTime::from_millis(1);
         for i in 0..3 {
-            sim.schedule(t, move |_, w: &mut Vec<u32>| w.push(i));
+            sim.schedule(t, i);
         }
         assert_eq!(sim.step(&mut w, 1), 1);
         assert_eq!(sim.now(), t);
-        sim.schedule(t, |_, w: &mut Vec<u32>| w.push(99));
+        sim.schedule(t, 99);
         sim.run(&mut w);
-        assert_eq!(w, vec![0, 1, 2, 99]);
+        assert_eq!(w.0, vec![0, 1, 2, 99]);
     }
 
     #[test]
@@ -492,15 +535,18 @@ mod tests {
         struct W {
             ticks: u32,
         }
-        fn tick(sim: &mut Sim<W>, w: &mut W) {
-            w.ticks += 1;
-            if w.ticks < 10 {
-                sim.schedule_in(SimDuration::from_millis(4), tick);
+        impl World for W {
+            type Event = ();
+            fn handle(&mut self, sim: &mut Sim<Self>, _tick: ()) {
+                self.ticks += 1;
+                if self.ticks < 10 {
+                    sim.schedule_in(SimDuration::from_millis(4), ());
+                }
             }
         }
         let mut sim = Sim::new();
         let mut w = W { ticks: 0 };
-        sim.schedule(SimTime::ZERO, tick);
+        sim.schedule(SimTime::ZERO, ());
         sim.run(&mut w);
         assert_eq!(w.ticks, 10);
         assert_eq!(sim.now(), SimTime::from_millis(36));
@@ -511,63 +557,73 @@ mod tests {
         // A handler that schedules at `now` repeatedly: the chain lives
         // entirely in the FIFO lane (this asserts behaviour, the lane is
         // the mechanism).
-        fn chain(sim: &mut Sim<Vec<u64>>, w: &mut Vec<u64>) {
-            w.push(sim.now().as_nanos());
-            if w.len() < 5 {
-                let now = sim.now();
-                sim.schedule(now, chain);
+        #[derive(Default)]
+        struct Chain(Vec<u64>);
+        impl World for Chain {
+            type Event = ();
+            fn handle(&mut self, sim: &mut Sim<Self>, _link: ()) {
+                self.0.push(sim.now().as_nanos());
+                if self.0.len() < 5 {
+                    let now = sim.now();
+                    sim.schedule(now, ());
+                }
             }
         }
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule(SimTime::from_millis(2), chain);
+        let mut sim: Sim<Chain> = Sim::new();
+        let mut w = Chain::default();
+        sim.schedule(SimTime::from_millis(2), ());
         sim.run(&mut w);
-        assert_eq!(w, vec![2_000_000; 5]);
+        assert_eq!(w.0, vec![2_000_000; 5]);
         assert_eq!(sim.events_executed(), 5);
         assert_eq!(sim.pending(), 0);
     }
 
-    /// One pseudo-random torture trace, executed by both loops.
-    fn torture_trace(scalar: bool) -> Vec<(u64, u64)> {
-        fn next(state: &mut u64) -> u64 {
-            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *state >> 33
+    /// Torture world: every event logs `(now_ns, tag)` and spawns a few
+    /// follow-ups at pseudo-random (often colliding) times, sometimes
+    /// cancelling one.
+    struct Torture {
+        log: Vec<(u64, u64)>,
+        rng: u64,
+        spawned: u32,
+    }
+
+    impl Torture {
+        fn next(&mut self) -> u64 {
+            self.rng = self.rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            self.rng >> 33
         }
-        struct W {
-            log: Vec<(u64, u64)>, // (now_ns, event tag)
-            rng: u64,
-            spawned: u32,
-        }
-        fn ev(sim: &mut Sim<W>, w: &mut W, tag: u64) {
-            w.log.push((sim.now().as_nanos(), tag));
-            // Spawn a few follow-ups at pseudo-random (often colliding)
-            // times, sometimes cancelling one.
-            for _ in 0..=(next(&mut w.rng) % 3) {
-                if w.spawned >= 400 {
+    }
+
+    impl World for Torture {
+        type Event = u64;
+        fn handle(&mut self, sim: &mut Sim<Self>, tag: u64) {
+            self.log.push((sim.now().as_nanos(), tag));
+            for _ in 0..=(self.next() % 3) {
+                if self.spawned >= 400 {
                     break;
                 }
-                w.spawned += 1;
-                let tag = u64::from(w.spawned);
-                let delta = next(&mut w.rng) % 4; // 0..3 ms, 0 = same time
-                let id = sim.schedule_in(SimDuration::from_millis(delta), move |sim, w| {
-                    ev(sim, w, tag)
-                });
-                if next(&mut w.rng) % 7 == 0 {
+                self.spawned += 1;
+                let tag = u64::from(self.spawned);
+                let delta = self.next() % 4; // 0..3 ms, 0 = same time
+                let id = sim.schedule_in(SimDuration::from_millis(delta), tag);
+                if self.next() % 7 == 0 {
                     sim.cancel(id);
                 }
             }
         }
-        let mut sim: Sim<W> = Sim::new();
+    }
+
+    /// One pseudo-random torture trace, executed by both loops.
+    fn torture_trace(scalar: bool) -> Vec<(u64, u64)> {
+        let mut sim: Sim<Torture> = Sim::new();
         sim.set_scalar_reference(scalar);
-        let mut w = W {
+        let mut w = Torture {
             log: Vec::new(),
             rng: 0x5eed,
             spawned: 0,
         };
         for i in 0..10 {
-            sim.schedule(SimTime::from_millis(i % 3), move |sim, w: &mut W| {
-                ev(sim, w, 1000 + i)
-            });
+            sim.schedule(SimTime::from_millis(i % 3), 1000 + i);
         }
         sim.run(&mut w);
         w.log
@@ -577,14 +633,14 @@ mod tests {
     fn entering_scalar_mode_returns_staged_events_to_the_heap() {
         // Events staged in the same-time lane before the mode flip (the
         // build-then-flip pattern) must survive it in order.
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule(SimTime::ZERO, |_, w: &mut Vec<u32>| w.push(1)); // lane
-        sim.schedule(SimTime::from_millis(1), |_, w: &mut Vec<u32>| w.push(2));
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
+        sim.schedule(SimTime::ZERO, 1); // lane
+        sim.schedule(SimTime::from_millis(1), 2);
         sim.set_scalar_reference(true);
         assert_eq!(sim.pending(), 2);
         sim.run(&mut w);
-        assert_eq!(w, vec![1, 2]);
+        assert_eq!(w.0, vec![1, 2]);
     }
 
     #[test]

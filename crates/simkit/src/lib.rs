@@ -9,7 +9,10 @@
 //! * [`time`] — nanosecond [`time::SimTime`] (simulated real time) and
 //!   [`time::VirtNanos`] (guest virtual time), kept apart by the type system;
 //! * [`engine`] — the event loop ([`engine::Sim`]) with deterministic
-//!   tie-breaking;
+//!   tie-breaking, dispatching each world's closed event type through
+//!   [`engine::World`];
+//! * [`slab`] — a free-list slab parking large event payloads
+//!   ([`slab::Slab`]);
 //! * [`rng`] — seeded, label-splittable random streams ([`rng::SimRng`]);
 //! * [`metrics`] — summaries, exact-percentile sample sets and counters.
 //!
@@ -19,16 +22,25 @@
 //! use simkit::prelude::*;
 //!
 //! #[derive(Default)]
-//! struct World { arrivals: u32 }
+//! struct Counter { arrivals: u32 }
 //!
-//! let mut sim: Sim<World> = Sim::new();
-//! let mut world = World::default();
+//! struct Arrival;
+//!
+//! impl World for Counter {
+//!     type Event = Arrival;
+//!     fn handle(&mut self, _sim: &mut Sim<Self>, _event: Arrival) {
+//!         self.arrivals += 1;
+//!     }
+//! }
+//!
+//! let mut sim: Sim<Counter> = Sim::new();
+//! let mut world = Counter::default();
 //! // A Poisson-ish arrival process, deterministic under the seed.
 //! let mut rng = SimRng::new(42).stream("arrivals");
 //! let mut t = SimTime::ZERO;
 //! for _ in 0..10 {
 //!     t = t + rng.exp_duration(SimDuration::from_millis(3));
-//!     sim.schedule(t, |_, w: &mut World| w.arrivals += 1);
+//!     sim.schedule(t, Arrival);
 //! }
 //! sim.run(&mut world);
 //! assert_eq!(world.arrivals, 10);
@@ -38,12 +50,13 @@ pub mod engine;
 pub mod fxhash;
 pub mod metrics;
 pub mod rng;
+pub mod slab;
 pub mod time;
 mod wheel;
 
 /// One-line import for the common types.
 pub mod prelude {
-    pub use crate::engine::{EventId, Sim};
+    pub use crate::engine::{EventId, Sim, World};
     pub use crate::metrics::{Counters, Samples, Summary};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime, VirtNanos, VirtOffset};

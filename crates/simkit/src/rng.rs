@@ -14,12 +14,24 @@ use crate::time::SimDuration;
 /// Derives a child seed from `(seed, label)` with the SplitMix64 finalizer
 /// over an FNV-1a hash of the label.
 fn derive_seed(seed: u64, label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
+    mix_seed(seed, fnv1a(FNV_OFFSET, label.as_bytes()))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    let mut z = seed ^ h;
+    h
+}
+
+/// Finalizes a child seed from the parent seed and a label hash
+/// (splitmix64's output mix).
+fn mix_seed(seed: u64, label_hash: u64) -> u64 {
+    let mut z = seed ^ label_hash;
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -63,9 +75,27 @@ impl SimRng {
     }
 
     /// Derives an independent child stream identified by `label` and `index`
-    /// (e.g. one stream per host).
+    /// (e.g. one stream per host) — the stream of the label
+    /// `"{label}#{index}"`, derived without building that string, so hot
+    /// paths can draw per-index streams allocation-free.
     pub fn stream_indexed(&self, label: &str, index: usize) -> SimRng {
-        self.stream(&format!("{label}#{index}"))
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut n = index;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        let h = fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), b"#");
+        let child = mix_seed(self.seed, fnv1a(h, &digits[start..]));
+        SimRng {
+            seed: child,
+            inner: StdRng::seed_from_u64(child),
+        }
     }
 
     /// Next raw 64-bit draw.
@@ -250,5 +280,15 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn indexed_streams_match_their_formatted_labels() {
+        let root = SimRng::new(99);
+        for index in [0usize, 7, 10, 123_456, usize::MAX] {
+            let mut a = root.stream_indexed("epoch", index);
+            let mut b = root.stream(&format!("epoch#{index}"));
+            assert_eq!(a.next_u64(), b.next_u64(), "index {index}");
+        }
     }
 }

@@ -14,8 +14,12 @@
 //!   event is filed at the lowest level whose next-coarser slot it shares
 //!   with the cursor. That alignment makes every occupancy scan a simple
 //!   mask-and-`trailing_zeros` with no ring wraparound.
-//! * Bucket vectors, the sorted *active* bucket, and the cascade scratch
-//!   buffer are pooled: capacity circulates between them via `swap`, so a
+//! * Bucket storage is pooled: a bucket that empties (opened as the
+//!   *active* bucket, or cascaded down a level) hands its vector to a
+//!   free pool, and a bucket that fills takes one from the pool before it
+//!   would allocate. Capacity therefore lives only in the few buckets
+//!   occupied at once (not in every bucket ever touched), a fresh wheel
+//!   stops allocating once its first few buckets have been used, and a
 //!   steady-state run performs no queue allocations at all.
 //!
 //! Exactness: the wheel reproduces the heap's `(at, seq)` total order
@@ -69,8 +73,8 @@ pub(crate) struct Wheel<T> {
     active_slot: Option<u64>,
     /// Entries beyond the wheel span, unsorted.
     overflow: Vec<Entry<T>>,
-    /// Cascade scratch (capacity pooled with the buckets).
-    scratch: Vec<Entry<T>>,
+    /// Empty bucket vectors with capacity, reused before allocating.
+    pool: Vec<Vec<Entry<T>>>,
 }
 
 impl<T> Wheel<T> {
@@ -83,7 +87,7 @@ impl<T> Wheel<T> {
             active: Vec::new(),
             active_slot: None,
             overflow: Vec::new(),
-            scratch: Vec::new(),
+            pool: Vec::new(),
         }
     }
 
@@ -122,7 +126,21 @@ impl<T> Wheel<T> {
         let level = (msb.saturating_sub(L0_SHIFT) / SLOT_BITS) as usize;
         let idx = slot_index(e.at, level);
         self.occ[level] |= 1u64 << idx;
-        self.buckets[level * SLOTS + idx].push(e);
+        let bucket = &mut self.buckets[level * SLOTS + idx];
+        if bucket.capacity() == 0 {
+            if let Some(spare) = self.pool.pop() {
+                *bucket = spare;
+            }
+        }
+        bucket.push(e);
+    }
+
+    /// Returns an emptied bucket vector's capacity to the pool.
+    fn recycle(&mut self, v: Vec<Entry<T>>) {
+        debug_assert!(v.is_empty());
+        if v.capacity() > 0 {
+            self.pool.push(v);
+        }
     }
 
     /// The earliest stored deadline. Read-only: no cursor movement, no
@@ -183,7 +201,9 @@ impl<T> Wheel<T> {
                 let i = m.trailing_zeros() as usize;
                 self.occ[0] &= !(1u64 << i);
                 debug_assert!(self.active.is_empty());
-                std::mem::swap(&mut self.buckets[i], &mut self.active);
+                let bucket = std::mem::take(&mut self.buckets[i]);
+                let spare = std::mem::replace(&mut self.active, bucket);
+                self.recycle(spare);
                 self.active
                     .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                 let min = self.active.last().expect("occupied bucket is non-empty");
@@ -205,13 +225,13 @@ impl<T> Wheel<T> {
                     let slot_start = (self.cur & parent_mask) | ((j as u64) << shift);
                     debug_assert!(slot_start > self.cur && slot_start <= t);
                     self.cur = slot_start;
-                    let bi = level * SLOTS + j;
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    std::mem::swap(&mut self.buckets[bi], &mut scratch);
-                    for e in scratch.drain(..) {
+                    // Every entry of the slot moves strictly down a level,
+                    // never back into this bucket.
+                    let mut moving = std::mem::take(&mut self.buckets[level * SLOTS + j]);
+                    for e in moving.drain(..) {
                         self.insert_raw(e);
                     }
-                    self.scratch = scratch;
+                    self.recycle(moving);
                     cascaded = true;
                     break;
                 }
@@ -254,7 +274,9 @@ impl<T> Wheel<T> {
         let i = (key & (SLOTS as u64 - 1)) as usize;
         self.occ[0] |= 1u64 << i;
         if self.buckets[i].is_empty() {
-            std::mem::swap(&mut self.buckets[i], &mut self.active);
+            let entries = std::mem::take(&mut self.active);
+            let spare = std::mem::replace(&mut self.buckets[i], entries);
+            self.recycle(spare);
         } else {
             self.buckets[i].append(&mut self.active);
         }

@@ -24,8 +24,37 @@ use proptest::prelude::*;
 use simkit::prelude::*;
 
 #[derive(Default)]
-struct World {
+struct Trace {
     log: Vec<(u64, u32)>,
+}
+
+/// A traced event: log `tag`, then optionally spawn a child.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// Log only.
+    Plain(u32),
+    /// Log, then schedule a same-timestamp child tagged `tag + 1_000_000`.
+    SameTimeChild(u32),
+    /// Log, then schedule a child `delta` ns later tagged `tag + 2_000_000`.
+    LaterChild(u32, u64),
+}
+
+impl World for Trace {
+    type Event = Ev;
+    fn handle(&mut self, sim: &mut Sim<Self>, event: Ev) {
+        let now = sim.now();
+        match event {
+            Ev::Plain(tag) => self.log.push((now.as_nanos(), tag)),
+            Ev::SameTimeChild(tag) => {
+                self.log.push((now.as_nanos(), tag));
+                sim.schedule(now, Ev::Plain(tag + 1_000_000));
+            }
+            Ev::LaterChild(tag, delta) => {
+                self.log.push((now.as_nanos(), tag));
+                sim.schedule_in(SimDuration::from_nanos(delta), Ev::Plain(tag + 2_000_000));
+            }
+        }
+    }
 }
 
 /// Maps one raw draw to a timestamp in a wheel-hostile distribution.
@@ -46,48 +75,27 @@ fn time_for(sel: u64) -> SimTime {
 
 /// Applies one (sel, kind) op: schedule a plain event, an event that
 /// spawns a same-time or near-future child, or cancel an earlier event.
-fn apply_op(sim: &mut Sim<World>, ids: &mut Vec<EventId>, tag: u32, sel: u64, kind: u64) {
+fn apply_op(sim: &mut Sim<Trace>, ids: &mut Vec<EventId>, tag: u32, sel: u64, kind: u64) {
     let at = time_for(sel);
     match kind % 8 {
         0 if !ids.is_empty() => {
             let pick = ids[(sel as usize) % ids.len()];
             sim.cancel(pick);
         }
-        1 => {
-            // Parent logs, then schedules a same-timestamp child: it must
-            // join the in-flight batch at the back of the lane.
-            ids.push(sim.schedule(at, move |sim, w: &mut World| {
-                w.log.push((sim.now().as_nanos(), tag));
-                let child = tag + 1_000_000;
-                sim.schedule(sim.now(), move |sim, w: &mut World| {
-                    w.log.push((sim.now().as_nanos(), child));
-                });
-            }));
-        }
-        2 => {
-            // Near-future child scheduled while the loop is draining.
-            let delta = SimDuration::from_nanos(1 + sel % 5_000);
-            ids.push(sim.schedule(at, move |sim, w: &mut World| {
-                w.log.push((sim.now().as_nanos(), tag));
-                let child = tag + 2_000_000;
-                sim.schedule_in(delta, move |sim, w: &mut World| {
-                    w.log.push((sim.now().as_nanos(), child));
-                });
-            }));
-        }
-        _ => {
-            ids.push(sim.schedule(at, move |sim, w: &mut World| {
-                w.log.push((sim.now().as_nanos(), tag));
-            }));
-        }
+        // Parent logs, then schedules a same-timestamp child: it must
+        // join the in-flight batch at the back of the lane.
+        1 => ids.push(sim.schedule(at, Ev::SameTimeChild(tag))),
+        // Near-future child scheduled while the loop is draining.
+        2 => ids.push(sim.schedule(at, Ev::LaterChild(tag, 1 + sel % 5_000))),
+        _ => ids.push(sim.schedule(at, Ev::Plain(tag))),
     }
 }
 
 /// Builds the schedule from `ops` and runs it to completion in one mode.
 fn run_trace(ops: &[(u64, u64)], scalar: bool) -> Vec<(u64, u32)> {
-    let mut sim: Sim<World> = Sim::new();
+    let mut sim: Sim<Trace> = Sim::new();
     sim.set_scalar_reference(scalar);
-    let mut world = World::default();
+    let mut world = Trace::default();
     let mut ids = Vec::new();
     for (i, &(sel, kind)) in ops.iter().enumerate() {
         apply_op(&mut sim, &mut ids, i as u32, sel, kind);
@@ -120,8 +128,8 @@ proptest! {
 
         // Same schedule, but the engine flips batched -> scalar -> batched
         // while events are in flight; each flip migrates the pending set.
-        let mut sim: Sim<World> = Sim::new();
-        let mut world = World::default();
+        let mut sim: Sim<Trace> = Sim::new();
+        let mut world = Trace::default();
         let mut ids = Vec::new();
         for (i, &(sel, kind)) in ops.iter().enumerate() {
             apply_op(&mut sim, &mut ids, i as u32, sel, kind);

@@ -16,16 +16,17 @@
 //! * external **clients** (not replicated, real-time observers) drive
 //!   workloads and measure what an outside attacker would measure.
 
-use crate::config::{CloudConfig, DiskKind};
+use crate::config::{CloudConfig, DiskKind, PacingConfig};
 use netsim::background::BroadcastSource;
 use netsim::infra::{EgressDecision, EgressNode, IngressNode};
 use netsim::link::{Fabric, NetNode};
 use netsim::packet::{EndpointId, Packet};
-use netsim::pgm::{PgmPacket, PgmReceiver, PgmSender};
-use simkit::engine::{EventId, Sim};
+use netsim::pgm::{PgmPacket, PgmReceiver, PgmSender, RxOutput};
+use simkit::engine::{EventId, Sim, World};
 use simkit::fxhash::FxHashMap;
 use simkit::metrics::Counters;
 use simkit::rng::SimRng;
+use simkit::slab::Slab;
 use simkit::time::{SimDuration, SimTime, VirtNanos};
 use storage::block::DiskImage;
 use storage::device::DiskDevice;
@@ -105,7 +106,205 @@ struct ProposalMsg {
 const PROPOSAL_BYTES: u32 = 64;
 const TUNNEL_OVERHEAD: u32 = 40;
 
-/// The simulated cloud (the `Sim` world type).
+/// Period of the PGM NAK retry tick.
+const PGM_RETRY_PERIOD: SimDuration = SimDuration::from_millis(50);
+
+/// Everything the cloud's event loop runs: the closed set of things that
+/// can happen in a StopWatch cloud, dispatched by `match` in
+/// [`Cloud`]'s [`World::handle`].
+///
+/// An event is at most 16 bytes, so a queued entry (`at`, `seq`, event)
+/// stays 32 bytes: hosts, slots, VMs and replicas travel as `u16`
+/// indices, clients as `u32`, and payloads too large to carry inline
+/// (packets, PGM messages, NAK lists) are parked in a slab on the cloud
+/// and referenced by their `u32` slab index. Only [`CloudEvent::Wake`]
+/// and [`CloudEvent::TimerFire`] are ever cancelled, and neither holds a
+/// slab index, so no parked payload can be stranded by a cancellation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloudEvent {
+    /// Boot replica slot `s` on host `h`.
+    Boot {
+        /// Host index.
+        h: u16,
+        /// Slot index on the host.
+        s: u16,
+    },
+    /// A slot's pending work comes due: run everything due, act on its
+    /// outputs, and schedule its next wake.
+    Wake {
+        /// Host index.
+        h: u16,
+        /// Slot index on the host.
+        s: u16,
+    },
+    /// The host disk finished a slot's transfer.
+    DiskDone {
+        /// Host index.
+        h: u16,
+        /// Slot index on the host.
+        s: u16,
+        /// Slot-local operation id.
+        op_id: u64,
+    },
+    /// The hardware timer event of an armed virtual timer.
+    TimerFire {
+        /// Host index.
+        h: u16,
+        /// Slot index on the host.
+        s: u16,
+        /// Slot-local fire sequence number.
+        fire_seq: u64,
+    },
+    /// A replicated inbound packet reaches a replica's host.
+    HostPacket {
+        /// Host index.
+        h: u16,
+        /// Slot index on the host.
+        s: u16,
+        /// Slab index of the `(ingress seq, packet)` pair.
+        arrival: u32,
+    },
+    /// A packet reaches the ingress node (from a client or, for
+    /// guest-to-guest traffic, from a host or the egress).
+    Ingress {
+        /// Slab index of the packet.
+        packet: u32,
+    },
+    /// A replica's tunneled output copy reaches the egress node.
+    EgressCopy {
+        /// The emitting VM.
+        vm: u16,
+        /// The emitting replica's host.
+        h: u16,
+        /// Slab index of the `(output seq, packet)` pair.
+        copy: u32,
+    },
+    /// A packet from a guest (or the egress) reaches a client.
+    ClientPacket {
+        /// Client index.
+        ci: u32,
+        /// Slab index of the packet.
+        packet: u32,
+    },
+    /// A packet from another client reaches a client.
+    PeerPacket {
+        /// Client index.
+        ci: u32,
+        /// Slab index of the packet.
+        packet: u32,
+    },
+    /// An original PGM proposal packet reaches a peer replica.
+    PgmDeliver {
+        /// The VM whose replicas exchange proposals.
+        vm: u16,
+        /// Receiving replica.
+        rx: u16,
+        /// Sending replica.
+        tx: u16,
+        /// Slab index of the PGM packet.
+        pkt: u32,
+    },
+    /// A NAK-triggered PGM retransmission reaches a peer replica.
+    PgmRetransmit {
+        /// The VM whose replicas exchange proposals.
+        vm: u16,
+        /// Receiving replica.
+        rx: u16,
+        /// Sending replica.
+        tx: u16,
+        /// Slab index of the PGM packet.
+        pkt: u32,
+    },
+    /// A PGM NAK reaches the sending replica.
+    PgmNak {
+        /// The VM whose replicas exchange proposals.
+        vm: u16,
+        /// The NAKing (receiving) replica.
+        rx: u16,
+        /// The NAKed (sending) replica.
+        tx: u16,
+        /// Slab index of the missing sequence numbers.
+        missing: u32,
+    },
+    /// A client starts its workload.
+    ClientStart {
+        /// Client index.
+        ci: u32,
+    },
+    /// A client's protocol timer tick.
+    ClientTick {
+        /// Client index.
+        ci: u32,
+    },
+    /// The pacing heartbeat (also the host scheduling tick).
+    Pacing,
+    /// The periodic PGM NAK retry.
+    PgmRetry,
+    /// Background broadcast chatter through the ingress.
+    Broadcast,
+}
+
+impl CloudEvent {
+    /// Number of event kinds (the length of [`CloudSim::event_counts`]).
+    pub const KINDS: usize = 17;
+
+    /// Kind names, indexed like [`CloudSim::event_counts`].
+    pub const KIND_NAMES: [&'static str; Self::KINDS] = [
+        "boot",
+        "wake",
+        "disk_done",
+        "timer_fire",
+        "host_packet",
+        "ingress",
+        "egress_copy",
+        "client_packet",
+        "peer_packet",
+        "pgm_deliver",
+        "pgm_retransmit",
+        "pgm_nak",
+        "client_start",
+        "client_tick",
+        "pacing",
+        "pgm_retry",
+        "broadcast",
+    ];
+
+    /// This event's kind: its index into [`CloudEvent::KIND_NAMES`].
+    pub fn kind(&self) -> usize {
+        match self {
+            CloudEvent::Boot { .. } => 0,
+            CloudEvent::Wake { .. } => 1,
+            CloudEvent::DiskDone { .. } => 2,
+            CloudEvent::TimerFire { .. } => 3,
+            CloudEvent::HostPacket { .. } => 4,
+            CloudEvent::Ingress { .. } => 5,
+            CloudEvent::EgressCopy { .. } => 6,
+            CloudEvent::ClientPacket { .. } => 7,
+            CloudEvent::PeerPacket { .. } => 8,
+            CloudEvent::PgmDeliver { .. } => 9,
+            CloudEvent::PgmRetransmit { .. } => 10,
+            CloudEvent::PgmNak { .. } => 11,
+            CloudEvent::ClientStart { .. } => 12,
+            CloudEvent::ClientTick { .. } => 13,
+            CloudEvent::Pacing => 14,
+            CloudEvent::PgmRetry => 15,
+            CloudEvent::Broadcast => 16,
+        }
+    }
+}
+
+/// A host, slot, VM or replica index narrowed to its event field.
+fn ix16(i: usize) -> u16 {
+    u16::try_from(i).expect("host/slot/vm/replica index fits in u16")
+}
+
+/// A client index narrowed to its event field.
+fn ix32(i: usize) -> u32 {
+    u32::try_from(i).expect("client index fits in u32")
+}
+
+/// The simulated cloud (the `Sim` world type; its events are
+/// [`CloudEvent`]s).
 pub struct Cloud {
     cfg: CloudConfig,
     hosts: Vec<HostMachine>,
@@ -131,6 +330,29 @@ pub struct Cloud {
     pgm_tx: FxHashMap<(usize, usize), PgmSender<ProposalMsg>>,
     pgm_rx: FxHashMap<(usize, usize, usize), PgmReceiver<ProposalMsg>>,
     tunnel_last: FxHashMap<usize, SimTime>,
+    // Payloads of in-flight events (see [`CloudEvent`]).
+    /// Packets in flight to the ingress or to a client.
+    packets: Slab<Packet>,
+    /// Numbered packets in flight: `(ingress seq, packet)` to a replica
+    /// host, `(output seq, packet)` to the egress.
+    numbered: Slab<(u64, Packet)>,
+    /// PGM proposal packets in flight between replicas.
+    pgm: Slab<PgmPacket<ProposalMsg>>,
+    /// NAK lists in flight back to PGM senders.
+    naks: Slab<Vec<u64>>,
+    // Scratch buffers reused across events.
+    /// Slot outputs of the slot being run.
+    outputs: Vec<SlotOutput>,
+    /// The PGM receiver's output for the packet being received.
+    rx_out: RxOutput<ProposalMsg>,
+    /// Virtual-timer fires being re-targeted by the pacing tick.
+    retarget: Vec<(usize, u64, VirtNanos)>,
+    /// Background broadcast chatter, when configured: the source and the
+    /// broadcast its pending [`CloudEvent::Broadcast`] will inject.
+    broadcast_source: Option<BroadcastSource>,
+    next_broadcast: Option<Packet>,
+    /// Executed events per [`CloudEvent`] kind.
+    event_counts: [u64; CloudEvent::KINDS],
     /// Run the pre-batching scalar paths (per-proposal median agreement,
     /// per-message wake recomputation) — the differential-testing
     /// reference for the batched hot paths. See
@@ -209,7 +431,7 @@ impl Cloud {
     }
 
     // ------------------------------------------------------------------
-    // Event handlers (each runs inside a `Sim<Cloud>` closure).
+    // Event handlers (each runs from `World::handle` for one `CloudEvent`).
     // ------------------------------------------------------------------
 
     /// Records the first structured failure. The driver observes it via
@@ -236,18 +458,37 @@ impl Cloud {
             sim.cancel(old);
         }
         if let Some(t) = target {
-            let id = sim.schedule(t, move |sim, cloud: &mut Cloud| {
-                cloud.wakes.remove(&(h, s));
-                match cloud.hosts[h].process_slot(s, sim.now()) {
-                    Ok(outputs) => {
-                        cloud.handle_outputs(sim, h, s, outputs);
-                        cloud.reschedule_wake(sim, h, s);
-                    }
-                    Err(e) => cloud.fail(&format!("host {h} slot {s}"), e),
-                }
-            });
+            let id = sim.schedule(
+                t,
+                CloudEvent::Wake {
+                    h: ix16(h),
+                    s: ix16(s),
+                },
+            );
             self.wakes.insert((h, s), (id, t));
         }
+    }
+
+    /// Runs slot `(h, s)` at `now` — its boot when `boot`, else whatever
+    /// came due — and acts on its outputs through the reused buffer.
+    fn run_slot(&mut self, sim: &mut Sim<Cloud>, h: usize, s: usize, boot: bool) {
+        let now = sim.now();
+        let mut outputs = std::mem::take(&mut self.outputs);
+        let ran = if boot {
+            self.hosts[h].boot_slot(s, now, &mut outputs)
+        } else {
+            self.hosts[h].process_slot(s, now, &mut outputs)
+        };
+        match ran {
+            Ok(()) => {
+                self.handle_outputs(sim, h, s, &mut outputs);
+                self.reschedule_wake(sim, h, s);
+            }
+            Err(e) if boot => self.fail(&format!("host {h} slot {s} boot"), e),
+            Err(e) => self.fail(&format!("host {h} slot {s}"), e),
+        }
+        outputs.clear();
+        self.outputs = outputs;
     }
 
     fn handle_outputs(
@@ -255,34 +496,20 @@ impl Cloud {
         sim: &mut Sim<Cloud>,
         h: usize,
         s: usize,
-        outputs: Vec<SlotOutput>,
+        outputs: &mut Vec<SlotOutput>,
     ) {
-        for output in outputs {
+        for output in outputs.drain(..) {
             match output {
                 SlotOutput::DiskSubmit { op_id, request } => {
                     let done = self.hosts[h].submit_disk(request, sim.now());
-                    sim.schedule(done, move |sim, cloud: &mut Cloud| {
-                        let now = sim.now();
-                        match cloud.hosts[h].disk_ready(s, now, op_id) {
-                            Ok(ArrivalOutcome::Proposal(proposal)) => {
-                                // The replicas agree on the completion
-                                // timestamp exactly like on a packet's Δn
-                                // delivery time.
-                                cloud.propose_and_multicast(
-                                    sim,
-                                    h,
-                                    s,
-                                    ChannelKind::Disk,
-                                    op_id,
-                                    proposal,
-                                );
-                            }
-                            Ok(ArrivalOutcome::Scheduled) => {
-                                cloud.reschedule_wake(sim, h, s);
-                            }
-                            Err(e) => cloud.fail(&format!("host {h} slot {s}"), e),
-                        }
-                    });
+                    sim.schedule(
+                        done,
+                        CloudEvent::DiskDone {
+                            h: ix16(h),
+                            s: ix16(s),
+                            op_id,
+                        },
+                    );
                 }
                 SlotOutput::TimerArm { fire_seq, deadline } => {
                     // A guest armed a virtual timer. The hardware event
@@ -311,6 +538,19 @@ impl Cloud {
         }
     }
 
+    /// The host disk finished slot `(h, s)`'s transfer `op_id`.
+    fn disk_done(&mut self, sim: &mut Sim<Cloud>, h: usize, s: usize, op_id: u64) {
+        match self.hosts[h].disk_ready(s, sim.now(), op_id) {
+            Ok(ArrivalOutcome::Proposal(proposal)) => {
+                // The replicas agree on the completion timestamp exactly
+                // like on a packet's Δn delivery time.
+                self.propose_and_multicast(sim, h, s, ChannelKind::Disk, op_id, proposal);
+            }
+            Ok(ArrivalOutcome::Scheduled) => self.reschedule_wake(sim, h, s),
+            Err(e) => self.fail(&format!("host {h} slot {s}"), e),
+        }
+    }
+
     /// Schedules (or re-targets) the hardware event for an armed virtual
     /// timer at the host's current physical estimate of the deadline's
     /// virtual instant. Speed jitter is known to the profile, but host
@@ -333,24 +573,31 @@ impl Cloud {
             }
             sim.cancel(old_id);
         }
-        let id = sim.schedule(at, move |sim, cloud: &mut Cloud| {
-            cloud.timer_fires.remove(&(h, s, fire_seq));
-            let now = sim.now();
-            match cloud.hosts[h].timer_elapsed(s, now, fire_seq) {
-                Ok(Some(ArrivalOutcome::Proposal(proposal))) => {
-                    // The replicas agree on the fire's delivery timestamp
-                    // exactly like on a packet's Δn delivery time.
-                    cloud.propose_and_multicast(sim, h, s, ChannelKind::Timer, fire_seq, proposal);
-                }
-                Ok(Some(ArrivalOutcome::Scheduled)) => {
-                    cloud.reschedule_wake(sim, h, s);
-                }
-                Ok(None) => {} // fire was cancelled in time
-                Err(e) => cloud.fail(&format!("host {h} slot {s}"), e),
-            }
-        });
+        let id = sim.schedule(
+            at,
+            CloudEvent::TimerFire {
+                h: ix16(h),
+                s: ix16(s),
+                fire_seq,
+            },
+        );
         self.timer_fires
             .insert((h, s, fire_seq), (id, at, deadline));
+    }
+
+    /// The hardware timer event for slot `(h, s)`'s fire `fire_seq`.
+    fn timer_fire(&mut self, sim: &mut Sim<Cloud>, h: usize, s: usize, fire_seq: u64) {
+        self.timer_fires.remove(&(h, s, fire_seq));
+        match self.hosts[h].timer_elapsed(s, sim.now(), fire_seq) {
+            Ok(Some(ArrivalOutcome::Proposal(proposal))) => {
+                // The replicas agree on the fire's delivery timestamp
+                // exactly like on a packet's Δn delivery time.
+                self.propose_and_multicast(sim, h, s, ChannelKind::Timer, fire_seq, proposal);
+            }
+            Ok(Some(ArrivalOutcome::Scheduled)) => self.reschedule_wake(sim, h, s),
+            Ok(None) => {} // fire was cancelled in time
+            Err(e) => self.fail(&format!("host {h} slot {s}"), e),
+        }
     }
 
     /// Applies slot `(h, s)`'s own delivery-time proposal locally, then
@@ -393,7 +640,6 @@ impl Cloud {
         packet: Packet,
     ) {
         let vm_idx = self.vm_of_slot(h, s);
-        let guest_ep = self.vms[vm_idx].endpoint;
         let host_node = self.hosts[h].id();
         if self.vms[vm_idx].replicated {
             // Tunnel to the egress node over TCP (Sec. VI); it forwards on
@@ -408,19 +654,15 @@ impl Cloud {
                 let last = self.tunnel_last.get(&h).copied().unwrap_or(SimTime::ZERO);
                 let arrive = raw_arrive.max(last + SimDuration::from_nanos(1));
                 self.tunnel_last.insert(h, arrive);
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    let decision = cloud.egress.on_copy(guest_ep, out_seq, host_node, packet);
-                    match decision {
-                        EgressDecision::Forward(pkt) => {
-                            cloud.stats.incr("egress_forwarded");
-                            cloud.forward_from_egress(sim, pkt);
-                        }
-                        EgressDecision::Hold => {}
-                        EgressDecision::Divergence { .. } => {
-                            cloud.stats.incr("egress_divergences");
-                        }
-                    }
-                });
+                let copy = self.numbered.park((out_seq, packet));
+                sim.schedule(
+                    arrive,
+                    CloudEvent::EgressCopy {
+                        vm: ix16(vm_idx),
+                        h: ix16(h),
+                        copy,
+                    },
+                );
             }
         } else {
             // Baseline: straight to the destination.
@@ -428,9 +670,23 @@ impl Cloud {
         }
     }
 
-    fn forward_from_egress(&mut self, sim: &mut Sim<Cloud>, packet: Packet) {
-        let from = self.egress_node;
-        self.deliver_external(sim, from, packet);
+    /// A replica's tunneled output copy reaches the egress node, which
+    /// votes and forwards on the second copy.
+    fn egress_copy(&mut self, sim: &mut Sim<Cloud>, vm_idx: usize, h: usize, copy: u32) {
+        let (out_seq, packet) = self.numbered.take(copy);
+        let guest_ep = self.vms[vm_idx].endpoint;
+        let host_node = self.hosts[h].id();
+        match self.egress.on_copy(guest_ep, out_seq, host_node, packet) {
+            EgressDecision::Forward(pkt) => {
+                self.stats.incr("egress_forwarded");
+                let from = self.egress_node;
+                self.deliver_external(sim, from, pkt);
+            }
+            EgressDecision::Hold => {}
+            EgressDecision::Divergence { .. } => {
+                self.stats.incr("egress_divergences");
+            }
+        }
     }
 
     /// Sends a packet from `from_node` toward its destination endpoint
@@ -442,12 +698,14 @@ impl Cloud {
                 self.fabric
                     .transmit(sim.now(), from_node, node, packet.wire_bytes())
             {
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    cloud.stats.incr("client_packets");
-                    let now = sim.now();
-                    let out = cloud.clients[ci].app.on_packet(&packet, now);
-                    cloud.client_send(sim, ci, out);
-                });
+                let packet = self.packets.park(packet);
+                sim.schedule(
+                    arrive,
+                    CloudEvent::ClientPacket {
+                        ci: ix32(ci),
+                        packet,
+                    },
+                );
             }
         } else if self.by_endpoint.contains_key(&packet.dst()) {
             // Guest-to-guest traffic flows back through the ingress.
@@ -455,13 +713,19 @@ impl Cloud {
                 self.fabric
                     .transmit(sim.now(), from_node, self.ingress_node, packet.wire_bytes())
             {
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    cloud.ingress_replicate(sim, packet);
-                });
+                let packet = self.packets.park(packet);
+                sim.schedule(arrive, CloudEvent::Ingress { packet });
             }
         }
         // Unknown destinations (e.g. the broadcast pseudo-endpoint on
         // baseline paths) are dropped silently.
+    }
+
+    /// Client `ci` receives a packet and answers with whatever it sends.
+    fn client_receive(&mut self, sim: &mut Sim<Cloud>, ci: usize, packet: u32) {
+        let packet = self.packets.take(packet);
+        let out = self.clients[ci].app.on_packet(&packet, sim.now());
+        self.client_send(sim, ci, out);
     }
 
     fn client_send(&mut self, sim: &mut Sim<Cloud>, ci: usize, pkts: Vec<Packet>) {
@@ -473,9 +737,8 @@ impl Cloud {
                     self.fabric
                         .transmit(sim.now(), node, self.ingress_node, pkt.wire_bytes())
                 {
-                    sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                        cloud.ingress_replicate(sim, pkt);
-                    });
+                    let packet = self.packets.park(pkt);
+                    sim.schedule(arrive, CloudEvent::Ingress { packet });
                 }
             } else if let Some(&target) = self.client_by_endpoint.get(&pkt.dst()) {
                 let tnode = self.clients[target].node;
@@ -483,11 +746,14 @@ impl Cloud {
                     .fabric
                     .transmit(sim.now(), node, tnode, pkt.wire_bytes())
                 {
-                    sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                        let now = sim.now();
-                        let out = cloud.clients[target].app.on_packet(&pkt, now);
-                        cloud.client_send(sim, target, out);
-                    });
+                    let packet = self.packets.park(pkt);
+                    sim.schedule(
+                        arrive,
+                        CloudEvent::PeerPacket {
+                            ci: ix32(target),
+                            packet,
+                        },
+                    );
                 }
             }
         }
@@ -498,11 +764,11 @@ impl Cloud {
     fn ingress_replicate(&mut self, sim: &mut Sim<Cloud>, packet: Packet) {
         self.stats.incr("ingress_packets");
         let is_broadcast = matches!(packet.body(), netsim::packet::Body::Broadcast { .. });
-        let targets: Vec<usize> = if is_broadcast {
-            (0..self.vms.len()).collect()
+        let targets = if is_broadcast {
+            0..self.vms.len()
         } else {
             match self.by_endpoint.get(&packet.dst()) {
-                Some(&vm) => vec![vm],
+                Some(&vm) => vm..vm + 1,
                 None => return,
             }
         };
@@ -519,23 +785,22 @@ impl Cloud {
                     self.fabric
                         .transmit(sim.now(), self.ingress_node, node, packet.wire_bytes())
                 {
-                    let pkt = packet.clone();
-                    sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                        cloud.host_packet_arrival(sim, h, s, seq, pkt);
-                    });
+                    let arrival = self.numbered.park((seq, packet.clone()));
+                    sim.schedule(
+                        arrive,
+                        CloudEvent::HostPacket {
+                            h: ix16(h),
+                            s: ix16(s),
+                            arrival,
+                        },
+                    );
                 }
             }
         }
     }
 
-    fn host_packet_arrival(
-        &mut self,
-        sim: &mut Sim<Cloud>,
-        h: usize,
-        s: usize,
-        seq: u64,
-        packet: Packet,
-    ) {
+    fn host_packet_arrival(&mut self, sim: &mut Sim<Cloud>, h: usize, s: usize, arrival: u32) {
+        let (seq, packet) = self.numbered.take(arrival);
         let now = sim.now();
         match self.hosts[h].packet_arrival(s, now, seq, packet) {
             ArrivalOutcome::Proposal(proposal) => {
@@ -578,10 +843,16 @@ impl Cloud {
                 self.fabric
                     .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
             {
-                let pkt = pgm_pkt.clone();
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    cloud.pgm_receive(sim, vm_idx, peer_idx, sender_replica, pkt);
-                });
+                let pkt = self.pgm.park(pgm_pkt.clone());
+                sim.schedule(
+                    arrive,
+                    CloudEvent::PgmDeliver {
+                        vm: ix16(vm_idx),
+                        rx: ix16(peer_idx),
+                        tx: ix16(sender_replica),
+                        pkt,
+                    },
+                );
             }
         }
     }
@@ -592,13 +863,14 @@ impl Cloud {
         vm_idx: usize,
         receiver_replica: usize,
         sender_replica: usize,
-        pkt: PgmPacket<ProposalMsg>,
+        pkt: u32,
     ) {
-        let rx = self
-            .pgm_rx
+        let pkt = self.pgm.take(pkt);
+        let mut out = std::mem::take(&mut self.rx_out);
+        self.pgm_rx
             .entry((vm_idx, receiver_replica, sender_replica))
-            .or_insert_with(PgmReceiver::new);
-        let out = rx.on_packet(pkt);
+            .or_insert_with(PgmReceiver::new)
+            .on_packet(pkt, &mut out);
         let now = sim.now();
         let (h, s) = self.vms[vm_idx].replicas[receiver_replica];
         if self.scalar_reference {
@@ -625,14 +897,10 @@ impl Cloud {
             }
         }
         if !out.nak_missing.is_empty() {
-            self.send_nak(
-                sim,
-                vm_idx,
-                receiver_replica,
-                sender_replica,
-                out.nak_missing,
-            );
+            let missing = std::mem::take(&mut out.nak_missing);
+            self.send_nak(sim, vm_idx, receiver_replica, sender_replica, missing);
         }
+        self.rx_out = out;
     }
 
     fn send_nak(
@@ -651,32 +919,52 @@ impl Cloud {
             .fabric
             .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
         {
-            sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                let Some(tx) = cloud.pgm_tx.get(&(vm_idx, sender_replica)) else {
-                    return;
-                };
-                let retx = tx.on_nak(&missing);
-                let replicas = cloud.vms[vm_idx].replicas.clone();
-                let from_node = cloud.hosts[replicas[sender_replica].0].id();
-                let to_node = cloud.hosts[replicas[receiver_replica].0].id();
-                for pkt in retx {
-                    if let Some(arrive) =
-                        cloud
-                            .fabric
-                            .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
-                    {
-                        sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                            cloud.pgm_receive(
-                                sim,
-                                vm_idx,
-                                receiver_replica,
-                                sender_replica,
-                                pkt.clone(),
-                            );
-                        });
-                    }
-                }
-            });
+            let missing = self.naks.park(missing);
+            sim.schedule(
+                arrive,
+                CloudEvent::PgmNak {
+                    vm: ix16(vm_idx),
+                    rx: ix16(receiver_replica),
+                    tx: ix16(sender_replica),
+                    missing,
+                },
+            );
+        }
+    }
+
+    /// A NAK reaches the sender, which retransmits what its history
+    /// still holds.
+    fn pgm_nak(
+        &mut self,
+        sim: &mut Sim<Cloud>,
+        vm_idx: usize,
+        receiver_replica: usize,
+        sender_replica: usize,
+        missing: u32,
+    ) {
+        let missing = self.naks.take(missing);
+        let Some(tx) = self.pgm_tx.get(&(vm_idx, sender_replica)) else {
+            return;
+        };
+        let replicas = &self.vms[vm_idx].replicas;
+        let from_node = self.hosts[replicas[sender_replica].0].id();
+        let to_node = self.hosts[replicas[receiver_replica].0].id();
+        for pkt in tx.on_nak(&missing) {
+            if let Some(arrive) =
+                self.fabric
+                    .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
+            {
+                let pkt = self.pgm.park(pkt);
+                sim.schedule(
+                    arrive,
+                    CloudEvent::PgmRetransmit {
+                        vm: ix16(vm_idx),
+                        rx: ix16(receiver_replica),
+                        tx: ix16(sender_replica),
+                        pkt,
+                    },
+                );
+            }
         }
     }
 
@@ -692,13 +980,14 @@ impl Cloud {
         for (vm, rx_rep, tx_rep, naks) in pending {
             self.send_nak(sim, vm, rx_rep, tx_rep, naks);
         }
+        sim.schedule_in(PGM_RETRY_PERIOD, CloudEvent::PgmRetry);
     }
 
     /// Pacing heartbeat: per StopWatch VM, if the fastest replica leads the
     /// second-fastest by more than the allowed gap, stall it. The same tick
     /// refreshes host contention from guest busy-ness, so coresident load
     /// perturbs timing exactly as on real shared hardware.
-    fn pacing_tick(&mut self, sim: &mut Sim<Cloud>) {
+    fn pacing_tick(&mut self, sim: &mut Sim<Cloud>, pacing: PacingConfig) {
         let now = sim.now();
         for h in 0..self.hosts.len() {
             // The host scheduling tick rides the same heartbeat: rotate
@@ -709,22 +998,24 @@ impl Cloud {
                     self.reschedule_wake(sim, h, s);
                 }
                 // The phys↔virt mapping of this host just changed:
-                // re-target its pending virtual-timer hardware events.
-                let mut pending: Vec<(usize, u64, VirtNanos)> = self
-                    .timer_fires
-                    .iter()
-                    .filter(|&(&(hh, _, _), _)| hh == h)
-                    .map(|(&(_, s, f), &(_, _, d))| (s, f, d))
-                    .collect();
-                pending.sort_unstable();
-                for (s, f, d) in pending {
+                // re-target its pending virtual-timer hardware events
+                // (collected into the reused scratch list, in a fixed
+                // order, because re-targeting edits the map).
+                let mut retarget = std::mem::take(&mut self.retarget);
+                retarget.extend(
+                    self.timer_fires
+                        .iter()
+                        .filter(|&(&(hh, _, _), _)| hh == h)
+                        .map(|(&(_, s, f), &(_, _, d))| (s, f, d)),
+                );
+                retarget.sort_unstable();
+                for &(s, f, d) in &retarget {
                     self.schedule_timer_fire(sim, h, s, f, d);
                 }
+                retarget.clear();
+                self.retarget = retarget;
             }
         }
-        let Some(pacing) = self.cfg.pacing else {
-            return;
-        };
         for vm_idx in 0..self.vms.len() {
             if !self.vms[vm_idx].replicated {
                 continue;
@@ -754,6 +1045,13 @@ impl Cloud {
                 }
             }
         }
+        sim.schedule_in(pacing.heartbeat, CloudEvent::Pacing);
+    }
+
+    fn client_start(&mut self, sim: &mut Sim<Cloud>, ci: usize) {
+        let out = self.clients[ci].app.on_start(sim.now());
+        self.client_send(sim, ci, out);
+        self.client_tick(sim, ci);
     }
 
     fn client_tick(&mut self, sim: &mut Sim<Cloud>, ci: usize) {
@@ -763,10 +1061,82 @@ impl Cloud {
         let now = sim.now();
         let out = self.clients[ci].app.on_tick(now);
         self.client_send(sim, ci, out);
-        let period = self.cfg.client_tick;
-        sim.schedule_in(period, move |sim, cloud: &mut Cloud| {
-            cloud.client_tick(sim, ci);
-        });
+        sim.schedule_in(
+            self.cfg.client_tick,
+            CloudEvent::ClientTick { ci: ix32(ci) },
+        );
+    }
+
+    /// Background chatter: injects the broadcast drawn last time (none on
+    /// the chain's first event), then draws the next and schedules it.
+    fn broadcast(&mut self, sim: &mut Sim<Cloud>) {
+        if let Some(pkt) = self.next_broadcast.take() {
+            self.stats.incr("broadcasts");
+            self.ingress_replicate(sim, pkt);
+        }
+        let src = self
+            .broadcast_source
+            .as_mut()
+            .expect("broadcast events run only with a source");
+        let (gap, pkt) = src.next_broadcast();
+        self.next_broadcast = Some(pkt);
+        sim.schedule_in(gap, CloudEvent::Broadcast);
+    }
+}
+
+impl World for Cloud {
+    type Event = CloudEvent;
+
+    fn handle(&mut self, sim: &mut Sim<Cloud>, event: CloudEvent) {
+        self.event_counts[event.kind()] += 1;
+        match event {
+            CloudEvent::Boot { h, s } => self.run_slot(sim, h.into(), s.into(), true),
+            CloudEvent::Wake { h, s } => {
+                let (h, s) = (h.into(), s.into());
+                self.wakes.remove(&(h, s));
+                self.run_slot(sim, h, s, false);
+            }
+            CloudEvent::DiskDone { h, s, op_id } => self.disk_done(sim, h.into(), s.into(), op_id),
+            CloudEvent::TimerFire { h, s, fire_seq } => {
+                self.timer_fire(sim, h.into(), s.into(), fire_seq)
+            }
+            CloudEvent::HostPacket { h, s, arrival } => {
+                self.host_packet_arrival(sim, h.into(), s.into(), arrival)
+            }
+            CloudEvent::Ingress { packet } => {
+                let packet = self.packets.take(packet);
+                self.ingress_replicate(sim, packet);
+            }
+            CloudEvent::EgressCopy { vm, h, copy } => {
+                self.egress_copy(sim, vm.into(), h.into(), copy)
+            }
+            CloudEvent::ClientPacket { ci, packet } => {
+                self.stats.incr("client_packets");
+                self.client_receive(sim, ci as usize, packet);
+            }
+            CloudEvent::PeerPacket { ci, packet } => self.client_receive(sim, ci as usize, packet),
+            CloudEvent::PgmDeliver { vm, rx, tx, pkt }
+            | CloudEvent::PgmRetransmit { vm, rx, tx, pkt } => {
+                self.pgm_receive(sim, vm.into(), rx.into(), tx.into(), pkt)
+            }
+            CloudEvent::PgmNak {
+                vm,
+                rx,
+                tx,
+                missing,
+            } => self.pgm_nak(sim, vm.into(), rx.into(), tx.into(), missing),
+            CloudEvent::ClientStart { ci } => self.client_start(sim, ci as usize),
+            CloudEvent::ClientTick { ci } => self.client_tick(sim, ci as usize),
+            CloudEvent::Pacing => {
+                let pacing = self
+                    .cfg
+                    .pacing
+                    .expect("pacing events run only when configured");
+                self.pacing_tick(sim, pacing);
+            }
+            CloudEvent::PgmRetry => self.pgm_tick(sim),
+            CloudEvent::Broadcast => self.broadcast(sim),
+        }
     }
 }
 
@@ -1016,6 +1386,14 @@ impl CloudBuilder {
             client_by_endpoint.insert(endpoint, ci);
         }
 
+        let broadcast_source = cfg.broadcast_band.map(|(lo, hi)| {
+            BroadcastSource::new(
+                EndpointId(9999),
+                lo,
+                hi,
+                SimRng::new(cfg.seed).stream("broadcast"),
+            )
+        });
         let cloud = Cloud {
             cfg,
             hosts,
@@ -1034,6 +1412,16 @@ impl CloudBuilder {
             pgm_tx: FxHashMap::default(),
             pgm_rx: FxHashMap::default(),
             tunnel_last: FxHashMap::default(),
+            packets: Slab::default(),
+            numbered: Slab::default(),
+            pgm: Slab::default(),
+            naks: Slab::default(),
+            outputs: Vec::new(),
+            rx_out: RxOutput::default(),
+            retarget: Vec::new(),
+            broadcast_source,
+            next_broadcast: None,
+            event_counts: [0; CloudEvent::KINDS],
             scalar_reference: false,
             error: None,
             stats: Counters::new(),
@@ -1041,71 +1429,33 @@ impl CloudBuilder {
 
         let mut sim: Sim<Cloud> = Sim::new();
         // Boot every replica at t=0.
-        for vm_idx in 0..cloud.vms.len() {
-            for &(h, s) in &cloud.vms[vm_idx].replicas.clone() {
-                sim.schedule(SimTime::ZERO, move |sim, cloud: &mut Cloud| {
-                    match cloud.hosts[h].boot_slot(s, sim.now()) {
-                        Ok(outputs) => {
-                            cloud.handle_outputs(sim, h, s, outputs);
-                            cloud.reschedule_wake(sim, h, s);
-                        }
-                        Err(e) => cloud.fail(&format!("host {h} slot {s} boot"), e),
-                    }
-                });
+        for vm in &cloud.vms {
+            for &(h, s) in &vm.replicas {
+                sim.schedule(
+                    SimTime::ZERO,
+                    CloudEvent::Boot {
+                        h: ix16(h),
+                        s: ix16(s),
+                    },
+                );
             }
         }
         // Clients start shortly after boot, then tick.
         for ci in 0..cloud.clients.len() {
-            sim.schedule(SimTime::from_millis(1), move |sim, cloud: &mut Cloud| {
-                let now = sim.now();
-                let out = cloud.clients[ci].app.on_start(now);
-                cloud.client_send(sim, ci, out);
-                cloud.client_tick(sim, ci);
-            });
+            sim.schedule(
+                SimTime::from_millis(1),
+                CloudEvent::ClientStart { ci: ix32(ci) },
+            );
         }
         // Pacing heartbeat.
-        if let Some(pacing) = cloud.cfg.pacing {
-            fn pace(sim: &mut Sim<Cloud>, cloud: &mut Cloud, period: SimDuration) {
-                cloud.pacing_tick(sim);
-                sim.schedule_in(period, move |sim, cloud: &mut Cloud| {
-                    pace(sim, cloud, period);
-                });
-            }
-            let period = pacing.heartbeat;
-            sim.schedule(SimTime::ZERO, move |sim, cloud: &mut Cloud| {
-                pace(sim, cloud, period);
-            });
+        if cloud.cfg.pacing.is_some() {
+            sim.schedule(SimTime::ZERO, CloudEvent::Pacing);
         }
         // PGM NAK retry tick.
-        fn pgm_retry(sim: &mut Sim<Cloud>, cloud: &mut Cloud) {
-            cloud.pgm_tick(sim);
-            sim.schedule_in(SimDuration::from_millis(50), |sim, cloud: &mut Cloud| {
-                pgm_retry(sim, cloud);
-            });
-        }
-        sim.schedule(SimTime::ZERO, |sim, cloud: &mut Cloud| {
-            pgm_retry(sim, cloud)
-        });
+        sim.schedule(SimTime::ZERO, CloudEvent::PgmRetry);
         // Background broadcast chatter through the ingress.
-        if let Some((lo, hi)) = cloud.cfg.broadcast_band {
-            let src = BroadcastSource::new(
-                EndpointId(9999),
-                lo,
-                hi,
-                SimRng::new(cloud.cfg.seed).stream("broadcast"),
-            );
-            fn chatter(sim: &mut Sim<Cloud>, _cloud: &mut Cloud, mut src: BroadcastSource) {
-                let (gap, pkt) = src.next_broadcast();
-                sim.schedule_in(gap, move |sim, cloud: &mut Cloud| {
-                    cloud.stats.incr("broadcasts");
-                    cloud.ingress_replicate(sim, pkt.clone());
-                    chatter(sim, cloud, src.clone());
-                });
-            }
-            let first = src.clone();
-            sim.schedule(SimTime::ZERO, move |sim, cloud: &mut Cloud| {
-                chatter(sim, cloud, first.clone());
-            });
+        if cloud.broadcast_source.is_some() {
+            sim.schedule(SimTime::ZERO, CloudEvent::Broadcast);
         }
 
         CloudSim { sim, cloud }
@@ -1151,6 +1501,13 @@ impl CloudSim {
     /// also stops early on it.
     pub fn error(&self) -> Option<&str> {
         self.cloud.error.as_deref()
+    }
+
+    /// Executed events per kind, indexed like [`CloudEvent::KIND_NAMES`].
+    /// The counts sum to `sim.events_executed()` and, like it, are
+    /// identical under the batched and the scalar-reference engine.
+    pub fn event_counts(&self) -> &[u64; CloudEvent::KINDS] {
+        &self.cloud.event_counts
     }
 
     /// Runs until `deadline`.
@@ -1361,13 +1718,14 @@ mod tests {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         b.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
-        sim.sim
-            .schedule(SimTime::from_millis(5), |sim, cloud: &mut Cloud| {
-                let now = sim.now();
-                if let Err(e) = cloud.hosts[0].disk_ready(0, now, 999) {
-                    cloud.fail("host 0 slot 0", e);
-                }
-            });
+        sim.sim.schedule(
+            SimTime::from_millis(5),
+            CloudEvent::DiskDone {
+                h: 0,
+                s: 0,
+                op_id: 999,
+            },
+        );
         sim.run_until(SimTime::from_millis(20));
         let err = sim.error().expect("run is marked failed");
         assert!(err.contains("unknown op 999"), "{err}");
@@ -1375,6 +1733,33 @@ mod tests {
         // Early-exit: the clients-done loop stops on the error.
         let t = sim.run_until_clients_done(SimTime::from_secs(30));
         assert!(t < SimTime::from_secs(30));
+    }
+
+    #[test]
+    fn cloud_events_stay_sixteen_bytes() {
+        // A queued entry is `(at, seq, event)`: 16-byte events keep it at
+        // 32 bytes, which is what the wheel's pooled buckets are sized by.
+        assert!(std::mem::size_of::<CloudEvent>() <= 16);
+        assert_eq!(CloudEvent::KIND_NAMES.len(), CloudEvent::KINDS);
+    }
+
+    #[test]
+    fn event_counts_sum_to_events_executed() {
+        let (mut sim, _, _) = ping_cloud(true, 3);
+        sim.run_until_clients_done(SimTime::from_secs(5));
+        let counts = *sim.event_counts();
+        assert_eq!(counts.iter().sum::<u64>(), sim.sim.events_executed());
+        let count = |name: &str| {
+            let k = CloudEvent::KIND_NAMES.iter().position(|&n| n == name);
+            counts[k.expect("known kind")]
+        };
+        assert_eq!(count("boot"), 3);
+        assert_eq!(count("client_start"), 1);
+        assert_eq!(
+            count("client_packet"),
+            sim.cloud.stats().get("client_packets")
+        );
+        assert!(count("pgm_deliver") > 0 && count("wake") > 0);
     }
 
     #[test]

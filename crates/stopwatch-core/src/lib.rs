@@ -43,7 +43,9 @@ pub mod schema;
 
 /// One-line import for the common types.
 pub mod prelude {
-    pub use crate::cloud::{ClientApp, ClientHandle, Cloud, CloudBuilder, CloudSim, VmHandle};
+    pub use crate::cloud::{
+        ClientApp, ClientHandle, Cloud, CloudBuilder, CloudEvent, CloudSim, VmHandle,
+    };
     pub use crate::config::{CloudConfig, DiskKind, KnobSpec, PacingConfig};
     pub use crate::schema::ValueType;
 }

@@ -128,25 +128,36 @@ impl HostMachine {
         self.profile.set_contention((total * 0.25).min(0.9));
     }
 
-    /// Boots slot `idx` at `now`.
+    /// Boots slot `idx` at `now`, appending its outputs to `out`.
     ///
     /// # Errors
     ///
     /// Propagates the slot's [`SlotError`]s.
-    pub fn boot_slot(&mut self, idx: usize, now: SimTime) -> Result<Vec<SlotOutput>, SlotError> {
+    pub fn boot_slot(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        out: &mut Vec<SlotOutput>,
+    ) -> Result<(), SlotError> {
         let (profile, cache, slot) = (&self.profile, &mut self.cache, &mut self.slots[idx]);
-        slot.boot(profile, cache, now)
+        slot.boot(profile, cache, now, out)
     }
 
     /// Runs everything due for slot `idx` at `now` (against this host's
-    /// shared LLC — coresident slots see each other's evictions).
+    /// shared LLC — coresident slots see each other's evictions),
+    /// appending its outputs to `out`.
     ///
     /// # Errors
     ///
     /// Propagates the slot's [`SlotError`]s.
-    pub fn process_slot(&mut self, idx: usize, now: SimTime) -> Result<Vec<SlotOutput>, SlotError> {
+    pub fn process_slot(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        out: &mut Vec<SlotOutput>,
+    ) -> Result<(), SlotError> {
         let (profile, cache, slot) = (&self.profile, &mut self.cache, &mut self.slots[idx]);
-        slot.process(profile, cache, now)
+        slot.process(profile, cache, now, out)
     }
 
     /// Next wake time for slot `idx`.
@@ -230,8 +241,8 @@ impl HostMachine {
         now: SimTime,
         fire_seq: u64,
     ) -> Result<Option<ArrivalOutcome>, SlotError> {
-        let busy = self.busy_slots();
-        let delay = self.sched.dispatch_delay(idx, &busy);
+        let busy = busy_slots(&self.slots);
+        let delay = self.sched.dispatch_delay(idx, busy);
         let (profile, slot) = (&self.profile, &mut self.slots[idx]);
         slot.timer_elapsed(profile, now, fire_seq, delay)
     }
@@ -245,17 +256,7 @@ impl HostMachine {
     /// The periodic host scheduling tick (driven by the cloud's pacing
     /// heartbeat): pure run-queue accounting, no guest-visible effect.
     pub fn sched_tick(&mut self) {
-        let busy = self.busy_slots();
-        self.sched.tick(&busy);
-    }
-
-    fn busy_slots(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_busy())
-            .map(|(i, _)| i)
-            .collect()
+        self.sched.tick(busy_slots(&self.slots));
     }
 
     /// Current virtual time of slot `idx`.
@@ -277,18 +278,22 @@ impl HostMachine {
         // `is_busy` reads the action queue directly, which only changes
         // inside `process()` — no per-slot clock sync is needed here.
         let before = self.profile.contention();
-        let busy: Vec<f64> = self
-            .slots
-            .iter()
-            .map(|s| if s.is_busy() { 1.0 } else { 0.0 })
-            .collect();
-        for (i, b) in busy.into_iter().enumerate() {
-            self.activity[i] = b;
+        for (a, s) in self.activity.iter_mut().zip(&self.slots) {
+            *a = if s.is_busy() { 1.0 } else { 0.0 };
         }
         let total: f64 = self.activity.iter().sum();
         self.profile.set_contention((total * 0.25).min(0.9));
         (self.profile.contention() - before).abs() > 1e-12
     }
+}
+
+/// Indices of the slots with queued work, ascending.
+fn busy_slots(slots: &[GuestSlot]) -> impl Iterator<Item = usize> + '_ {
+    slots
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.is_busy())
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -337,7 +342,9 @@ mod tests {
         let a = h.add_slot(idle_slot());
         let b = h.add_slot(idle_slot());
         assert_eq!((a, b), (0, 1));
-        assert!(h.boot_slot(0, SimTime::ZERO).expect("boot").is_empty());
+        let mut out = Vec::new();
+        h.boot_slot(0, SimTime::ZERO, &mut out).expect("boot");
+        assert!(out.is_empty());
         assert_eq!(h.slot_count(), 2);
     }
 
@@ -409,8 +416,11 @@ mod tests {
         };
         let armer = h.add_slot(slot_for(Box::new(Arm), 1));
         let burner = h.add_slot(slot_for(Box::new(Burn), 2));
-        let boot_out = h.boot_slot(armer, SimTime::ZERO).expect("boot armer");
-        h.boot_slot(burner, SimTime::ZERO).expect("boot burner");
+        let mut boot_out = Vec::new();
+        h.boot_slot(armer, SimTime::ZERO, &mut boot_out)
+            .expect("boot armer");
+        h.boot_slot(burner, SimTime::ZERO, &mut Vec::new())
+            .expect("boot burner");
         assert!(h.slot(burner).is_busy());
         let SlotOutput::TimerArm { fire_seq, deadline } = boot_out[0] else {
             panic!("{:?}", boot_out[0]);

@@ -213,9 +213,25 @@ fn median_if_determined(received: &[VirtNanos], needed: usize) -> Option<VirtNan
     if m >= received.len() || m < missing {
         return None;
     }
-    let mut sorted = received.to_vec();
-    sorted.sort_unstable();
-    (sorted[m - missing] == sorted[m]).then(|| sorted[m])
+    let (lo, hi) = (
+        kth_smallest(received, m - missing),
+        kth_smallest(received, m),
+    );
+    (lo == hi).then_some(hi)
+}
+
+/// The `k`-th smallest (0-based) of a replica-sized proposal set, by rank
+/// counting: quadratic, but allocation-free and the sets hold a handful
+/// of values.
+fn kth_smallest(values: &[VirtNanos], k: usize) -> VirtNanos {
+    *values
+        .iter()
+        .find(|&&x| {
+            let below = values.iter().filter(|&&y| y < x).count();
+            let upto = values.iter().filter(|&&y| y <= x).count();
+            below <= k && k < upto
+        })
+        .expect("k is below the set size")
 }
 
 /// Memo key for [`GuestSlot::next_wake`]: `(target branch, synced
@@ -246,9 +262,11 @@ pub struct GuestSlot {
     /// Peer proposals that arrived before this replica opened the matching
     /// pending entry (replicas run at different physical speeds); drained
     /// when the entry opens. Dropping them would deadlock the agreement.
-    /// Keyed by `(kind id, seq)`; every access is a point query, so the
-    /// map is hashed, not ordered.
-    early: FxHashMap<(u8, u64), Vec<VirtNanos>>,
+    /// Keyed by `(kind id, seq, arrival ordinal)` — one flat entry per
+    /// proposal, ordinals dense from 0 per event, so buffering allocates
+    /// no per-event vector; every access is a point query, so the map is
+    /// hashed, not ordered.
+    early: FxHashMap<(u8, u64, u16), VirtNanos>,
     /// Whether the guest program takes PIT ticks — a constant of the
     /// program, cached off the hot scheduling scans.
     wants_timer: bool,
@@ -506,9 +524,9 @@ impl GuestSlot {
         f(&mut *self.program, &mut env);
     }
 
-    /// Boots the guest and processes any immediately runnable work.
-    /// `cache` is the host's shared LLC (every slot on a host gets the
-    /// same one).
+    /// Boots the guest and processes any immediately runnable work,
+    /// appending emitted outputs to `out`. `cache` is the host's shared
+    /// LLC (every slot on a host gets the same one).
     ///
     /// # Errors
     ///
@@ -522,12 +540,13 @@ impl GuestSlot {
         profile: &SpeedProfile,
         cache: &mut CacheModel,
         now: SimTime,
-    ) -> Result<Vec<SlotOutput>, SlotError> {
+        out: &mut Vec<SlotOutput>,
+    ) -> Result<(), SlotError> {
         assert!(!self.booted, "double boot");
         self.booted = true;
         self.synced_at = now;
         self.run_handler(0, None, |prog, env| prog.on_boot(env));
-        self.process(profile, cache, now)
+        self.process(profile, cache, now, out)
     }
 
     /// The earliest due interrupt at physical position `phys`, ordered by
@@ -555,8 +574,9 @@ impl GuestSlot {
     }
 
     /// Processes everything due at `now`: completes actions, injects due
-    /// interrupts, runs handlers. Returns emitted outputs. `cache` is the
-    /// host's shared LLC.
+    /// interrupts, runs handlers. Appends emitted outputs to the
+    /// caller-owned `out` (reused across calls, so processing allocates
+    /// nothing for its outputs). `cache` is the host's shared LLC.
     ///
     /// # Errors
     ///
@@ -567,10 +587,10 @@ impl GuestSlot {
         profile: &SpeedProfile,
         cache: &mut CacheModel,
         now: SimTime,
-    ) -> Result<Vec<SlotOutput>, SlotError> {
+        out: &mut Vec<SlotOutput>,
+    ) -> Result<(), SlotError> {
         self.sync(profile, now);
         let phys = self.branches;
-        let mut out = Vec::new();
         loop {
             // Pin down the head compute's completion point in pc space.
             // The queue is told: from here on, new computes must not
@@ -623,15 +643,15 @@ impl GuestSlot {
                 1 => {
                     let (ib, _deliver, _rank, id, kind) = inj.expect("injection candidate");
                     self.pc = self.pc.max(ib);
-                    self.inject(kind, id, &mut out)?;
+                    self.inject(kind, id, out)?;
                 }
                 _ => {
                     let action = self.actions.pop_front().expect("zero-branch head");
-                    self.execute_zero_branch(action, cache, &mut out)?;
+                    self.execute_zero_branch(action, cache, out)?;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn execute_zero_branch(
@@ -787,8 +807,24 @@ impl GuestSlot {
     /// consumed silently.
     fn cancel_fire(&mut self, fire_seq: u64) {
         self.pending.remove(ChannelKind::Timer, fire_seq);
-        self.early.remove(&(ChannelKind::Timer.id(), fire_seq));
+        let mut n = 0;
+        while self
+            .early
+            .remove(&(ChannelKind::Timer.id(), fire_seq, n))
+            .is_some()
+        {
+            n += 1;
+        }
         self.cancelled_fires.insert(fire_seq);
+    }
+
+    /// How many early proposals are buffered for `(kind, seq)`.
+    fn early_count(&self, kind: ChannelKind, seq: u64) -> u16 {
+        let mut n = 0;
+        while self.early.contains_key(&(kind.id(), seq, n)) {
+            n += 1;
+        }
+        n
     }
 
     /// Opens an agreement entry for `(kind, seq)` and drains any peer
@@ -802,10 +838,11 @@ impl GuestSlot {
             unreachable!("agreement entries are a StopWatch flow");
         };
         self.pending.insert_agreeing(kind, seq, payload, replicas);
-        if let Some(early) = self.early.remove(&(kind.id(), seq)) {
-            for p in early {
-                self.record_proposal(kind, seq, p, VirtNanos::ZERO);
-            }
+        // Drained in arrival order.
+        let mut n = 0;
+        while let Some(p) = self.early.remove(&(kind.id(), seq, n)) {
+            self.record_proposal(kind, seq, p, VirtNanos::ZERO);
+            n += 1;
         }
     }
 
@@ -1214,10 +1251,8 @@ impl GuestSlot {
             // opened here (opens are in id order) and has since been
             // delivered or cancelled — also a stray, never re-buffered.
             if policy.is_some_and(|p| p.buffer_early) && !self.already_opened(kind, seq) {
-                self.early
-                    .entry((kind.id(), seq))
-                    .or_default()
-                    .push(proposal);
+                let n = self.early_count(kind, seq);
+                self.early.insert((kind.id(), seq, n), proposal);
             }
             return false;
         };
@@ -1273,7 +1308,7 @@ impl GuestSlot {
     /// the quantity the buffer-leak regression property pins to zero
     /// after every entry is opened or retired.
     pub fn early_buffered(&self) -> usize {
-        self.early.values().map(Vec::len).sum()
+        self.early.len()
     }
 
     /// The next absolute time at which this slot needs to run, given its
@@ -1413,6 +1448,28 @@ mod tests {
         }
     }
 
+    /// Boots `slot`, returning the outputs it emitted.
+    fn boot(
+        slot: &mut GuestSlot,
+        p: &SpeedProfile,
+        cache: &mut CacheModel,
+        now: SimTime,
+    ) -> Result<Vec<SlotOutput>, SlotError> {
+        let mut out = Vec::new();
+        slot.boot(p, cache, now, &mut out).map(|()| out)
+    }
+
+    /// Processes `slot` at `now`, returning the outputs it emitted.
+    fn process(
+        slot: &mut GuestSlot,
+        p: &SpeedProfile,
+        cache: &mut CacheModel,
+        now: SimTime,
+    ) -> Result<Vec<SlotOutput>, SlotError> {
+        let mut out = Vec::new();
+        slot.process(p, cache, now, &mut out).map(|()| out)
+    }
+
     fn slot_with(program: Box<dyn GuestProgram>, mode: DefenseMode) -> GuestSlot {
         let mut cfg = stopwatch_cfg();
         cfg.mode = mode;
@@ -1424,7 +1481,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(IdleGuest), DefenseMode::baseline());
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         assert!(out.is_empty());
         assert_eq!(slot.next_wake(&p, SimTime::ZERO), None);
     }
@@ -1434,7 +1491,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(IdleGuest), DefenseMode::baseline());
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let v1 = slot.virt_at(&p, SimTime::from_millis(1));
         let v2 = slot.virt_at(&p, SimTime::from_millis(5));
         assert!(v2 > v1, "idle loop must keep virtual time moving");
@@ -1446,7 +1503,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(IdleGuest), DefenseMode::baseline());
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         // At t=123.456us, branches=123456; last exit at 100000.
         let v = slot.virt_at_last_exit(&p, SimTime::from_nanos(123_456));
         assert_eq!(v.as_nanos(), 100_000);
@@ -1457,7 +1514,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::<EchoGuest>::default(), stopwatch_cfg().mode);
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 100 });
         let t_arr = SimTime::from_millis(1);
         let outcome = slot.on_packet_arrival(&p, t_arr, 0, pkt);
@@ -1490,7 +1547,7 @@ mod tests {
         let ns = wake.as_nanos();
         assert!((11_500_000..11_500_050).contains(&ns), "wake at {ns}");
         // Process at the wake: packet injected, echo emitted.
-        let out = slot.process(&p, &mut cache, wake).expect("process");
+        let out = process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(out.len(), 1);
         match &out[0] {
             SlotOutput::Packet {
@@ -1514,7 +1571,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::<EchoGuest>::default(), DefenseMode::baseline());
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 100 });
         slot.on_packet_arrival(&p, SimTime::from_micros(130), 0, pkt);
         let wake = slot.next_wake(&p, SimTime::from_micros(130)).unwrap();
@@ -1522,7 +1579,7 @@ mod tests {
         // integration may land a nanosecond or two past it).
         let ns = wake.as_nanos();
         assert!((150_000..150_050).contains(&ns), "wake at {ns}");
-        let out = slot.process(&p, &mut cache, wake).expect("process");
+        let out = process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(out.len(), 1, "echo reply");
     }
 
@@ -1531,7 +1588,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::<EchoGuest>::default(), stopwatch_cfg().mode);
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 100 });
         slot.on_packet_arrival(&p, SimTime::from_millis(1), 0, pkt);
         // Peers propose times far in this replica's past.
@@ -1543,7 +1600,7 @@ mod tests {
         assert_eq!(slot.counters().get("sync_violations"), 1);
         // Still delivered (recovery), at current virt.
         let wake = slot.next_wake(&p, late).unwrap();
-        let out = slot.process(&p, &mut cache, wake).expect("process");
+        let out = process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(out.len(), 1);
     }
 
@@ -1561,7 +1618,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(DiskGuest), stopwatch_cfg().mode);
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         // Boot issues the read immediately.
         assert_eq!(out.len(), 1);
         let SlotOutput::DiskSubmit { op_id, request } = &out[0] else {
@@ -1586,14 +1643,14 @@ mod tests {
             (10_000_000..10_000_050).contains(&ns),
             "V + Δd wake at {ns}"
         );
-        let out2 = slot.process(&p, &mut cache, wake).expect("process");
+        let out2 = process(&mut slot, &p, &mut cache, wake).expect("process");
         // Handler queues compute + write; the write issues after 1M
         // branches = 1ms later, so not yet.
         assert!(out2.is_empty());
         let wake2 = slot.next_wake(&p, wake).unwrap();
         let ns2 = wake2.as_nanos();
         assert!((11_000_000..11_000_050).contains(&ns2), "wake2 at {ns2}");
-        let out3 = slot.process(&p, &mut cache, wake2).expect("process");
+        let out3 = process(&mut slot, &p, &mut cache, wake2).expect("process");
         assert_eq!(out3.len(), 1);
         assert!(matches!(out3[0], SlotOutput::DiskSubmit { .. }));
         assert_eq!(slot.counters().get("disk_irq"), 1);
@@ -1604,7 +1661,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(DiskGuest), stopwatch_cfg().mode);
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let SlotOutput::DiskSubmit { op_id, .. } = &out[0] else {
             panic!()
         };
@@ -1627,7 +1684,7 @@ mod tests {
         assert!(slot.add_proposal(&p, t_ready, ChannelKind::Disk, *op_id, peer));
         let wake = slot.next_wake(&p, t_ready).unwrap();
         assert_eq!(wake, SimTime::from_millis(25), "fires at the next exit");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(slot.counters().get("disk_irq"), 1);
     }
 
@@ -1641,7 +1698,7 @@ mod tests {
         let peer = VirtNanos::from_millis(10);
         assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Disk, 0, peer));
         assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Disk, 0, peer));
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let SlotOutput::DiskSubmit { op_id, .. } = &out[0] else {
             panic!()
         };
@@ -1653,7 +1710,7 @@ mod tests {
         // Our own proposal completes the drained set of three.
         assert!(slot.add_proposal(&p, t_ready, ChannelKind::Disk, *op_id, own));
         let wake = slot.next_wake(&p, t_ready).expect("agreed");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(slot.counters().get("disk_irq"), 1);
     }
 
@@ -1662,7 +1719,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(DiskGuest), DefenseMode::baseline());
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let SlotOutput::DiskSubmit { op_id, .. } = &out[0] else {
             panic!()
         };
@@ -1677,7 +1734,7 @@ mod tests {
         let wake = slot.next_wake(&p, t_ready).unwrap();
         let ns = wake.as_nanos();
         assert!((3_000_000..3_050_050).contains(&ns), "ready-time wake {ns}");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(slot.counters().get("disk_irq"), 1);
     }
 
@@ -1686,7 +1743,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(DiskGuest), stopwatch_cfg().mode);
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let err = slot
             .disk_ready(&p, SimTime::from_millis(1), 999)
             .expect_err("unknown op id");
@@ -1714,7 +1771,7 @@ mod tests {
         let run = |p: &SpeedProfile| {
             let mut cache = CacheModel::new(8, 2);
             let mut slot = slot_with(Box::<EchoGuest>::default(), stopwatch_cfg().mode);
-            slot.boot(p, &mut cache, SimTime::ZERO).expect("boot");
+            boot(&mut slot, p, &mut cache, SimTime::ZERO).expect("boot");
             let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 100 });
             // Packet arrives at (slightly) different real times per host.
             slot.on_packet_arrival(p, SimTime::from_micros(900), 0, pkt);
@@ -1728,7 +1785,7 @@ mod tests {
                 );
             }
             let wake = slot.next_wake(p, SimTime::from_millis(2)).unwrap();
-            let out = slot.process(p, &mut cache, wake).expect("process");
+            let out = process(&mut slot, p, &mut cache, wake).expect("process");
             (slot.delivered_log().to_vec(), out)
         };
         let (log_fast, out_fast) = run(&fast);
@@ -1750,7 +1807,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(IdleGuest), DefenseMode::baseline());
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         slot.stall_until(&p, SimTime::from_millis(1), SimTime::from_millis(5));
         let v_mid = slot.virt_at(&p, SimTime::from_millis(3));
         assert_eq!(v_mid.as_nanos(), 1_000_000, "no progress while stalled");
@@ -1779,11 +1836,11 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(TimerGuest { ticks: 0 }), DefenseMode::baseline());
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         // First tick at virt 4ms (250 Hz).
         let wake = slot.next_wake(&p, SimTime::ZERO).unwrap();
         assert!((4_000_000..4_000_050).contains(&wake.as_nanos()));
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(slot.counters().get("timer_irq"), 1);
         let wake2 = slot.next_wake(&p, wake).unwrap();
         assert!((8_000_000..8_000_050).contains(&wake2.as_nanos()));
@@ -1807,12 +1864,12 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(BusyEcho), DefenseMode::baseline());
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         // Packet arrives at 2ms (mid-compute), delivered at exit ~2ms.
         let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 10 });
         slot.on_packet_arrival(&p, SimTime::from_millis(2), 0, pkt);
         let wake = slot.next_wake(&p, SimTime::from_millis(2)).unwrap();
-        let out1 = slot.process(&p, &mut cache, wake).expect("process");
+        let out1 = process(&mut slot, &p, &mut cache, wake).expect("process");
         // The handler ran (echo 43 queued BEHIND the boot send? No: actions
         // queue FIFO: compute, send(42), then handler pushes send(43)).
         // At 2ms the compute is still running, so nothing emitted yet.
@@ -1822,7 +1879,7 @@ mod tests {
             (10_000_000..10_000_050).contains(&wake2.as_nanos()),
             "compute completes near 10ms, got {wake2}"
         );
-        let out2 = slot.process(&p, &mut cache, wake2).expect("process");
+        let out2 = process(&mut slot, &p, &mut cache, wake2).expect("process");
         // Both sends now fire at pc = 10ms, in FIFO order.
         assert_eq!(out2.len(), 2);
         match (&out2[0], &out2[1]) {
@@ -1885,11 +1942,11 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::<CacheProber>::default(), DefenseMode::baseline());
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         // Probes issued at pc 0 deliver at +40/+400 ns; the injection exit
         // is the first one, at branch 50k = 50 us.
         let wake = slot.next_wake(&p, SimTime::ZERO).expect("probe wake");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(
             probe_readouts(&mut slot),
             vec![(3, CacheModel::HIT_NS), (4, CacheModel::MISS_NS)],
@@ -1910,7 +1967,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::<CacheProber>::default(), stopwatch_cfg().mode);
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let proposals: Vec<(u64, VirtNanos)> = out
             .iter()
             .map(|o| match o {
@@ -1935,7 +1992,7 @@ mod tests {
             assert!(slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, *probe_id, peer));
         }
         let wake = slot.next_wake(&p, SimTime::ZERO).expect("agreed wake");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(
             probe_readouts(&mut slot),
             vec![(3, CacheModel::HIT_NS), (4, CacheModel::HIT_NS)],
@@ -1956,7 +2013,7 @@ mod tests {
             "no pending yet"
         );
         assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, 0, hit));
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         assert_eq!(out.len(), 2);
         // Both early proposals drained at issue; our own completes the set.
         let SlotOutput::Proposal { seq, proposal, .. } = out[0].clone() else {
@@ -1964,7 +2021,7 @@ mod tests {
         };
         assert!(slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, seq, proposal));
         let wake = slot.next_wake(&p, SimTime::ZERO).expect("probe 0 agreed");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(probe_readouts(&mut slot), vec![(3, CacheModel::HIT_NS)]);
     }
 
@@ -1978,7 +2035,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::<EchoGuest>::default(), stopwatch_cfg().mode);
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let stray = VirtNanos::from_millis(11);
         assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Net, 0, stray));
         // The packet then does arrive: the dropped stray must NOT count
@@ -2045,7 +2102,7 @@ mod tests {
             fires: Vec::new(),
         };
         let mut slot = slot_with(Box::new(guest), mode);
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         assert_eq!(out.len(), 1);
         let SlotOutput::TimerArm { fire_seq, deadline } = out[0] else {
             panic!("{:?}", out[0]);
@@ -2068,7 +2125,7 @@ mod tests {
         assert_eq!(outcome, Some(ArrivalOutcome::Scheduled));
         assert_eq!(slot.counters().get("sched_preemptions"), 1);
         let wake = slot.next_wake(&p, t).expect("delivery scheduled");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         let fires = vtimer_fires(&mut slot);
         assert_eq!(fires.len(), 1);
         // The guest-visible fire carries the dispatch delay: the leak.
@@ -2099,7 +2156,7 @@ mod tests {
         }
         assert!(slot.add_proposal(&p, t, ChannelKind::Timer, fire_seq, own));
         let wake = slot.next_wake(&p, t).expect("agreed");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         let fires = vtimer_fires(&mut slot);
         assert_eq!(fires.len(), 1);
         assert_eq!(
@@ -2135,7 +2192,7 @@ mod tests {
         slot.timer_elapsed(&p, t, fire0, VirtOffset::from_nanos(0))
             .expect("live fire");
         let wake = slot.next_wake(&p, t).expect("due");
-        let out = slot.process(&p, &mut cache, wake).expect("process");
+        let out = process(&mut slot, &p, &mut cache, wake).expect("process");
         // The injection re-armed the next period: 5ms + 3ms = 8ms.
         assert_eq!(out.len(), 1);
         let SlotOutput::TimerArm { fire_seq, deadline } = out[0] else {
@@ -2148,7 +2205,7 @@ mod tests {
         slot.timer_elapsed(&p, t2, fire_seq, VirtOffset::from_nanos(0))
             .expect("live fire");
         let wake2 = slot.next_wake(&p, t2).expect("due");
-        slot.process(&p, &mut cache, wake2).expect("process");
+        process(&mut slot, &p, &mut cache, wake2).expect("process");
         assert_eq!(vtimer_fires(&mut slot).len(), 2);
         // Boot arm plus one re-arm per injected fire.
         assert_eq!(slot.counters().get("timer_arms"), 3);
@@ -2172,14 +2229,14 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(CancelGuest), stopwatch_cfg().mode);
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let SlotOutput::TimerArm { fire_seq, .. } = out[0] else {
             panic!("{:?}", out[0]);
         };
         // The cancel runs once the compute finishes (1ms), well before the
         // 20ms deadline.
         let t = SimTime::from_millis(2);
-        slot.process(&p, &mut cache, t).expect("process");
+        process(&mut slot, &p, &mut cache, t).expect("process");
         // An early peer proposal for the cancelled fire must not leak
         // into the buffer (the pending entry is gone and the fire is
         // poisoned locally; every replica cancels at the same pc).
@@ -2217,9 +2274,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(BadGuest), stopwatch_cfg().mode);
-        let err = slot
-            .boot(&p, &mut cache, SimTime::ZERO)
-            .expect_err("zero deadline");
+        let err = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect_err("zero deadline");
         assert_eq!(
             err,
             SlotError::BadTimerDeadline {
@@ -2254,7 +2309,7 @@ mod tests {
             Box::new(OverflowGuest { period: huge }),
             DefenseMode::baseline(),
         );
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let SlotOutput::TimerArm { fire_seq, .. } = out[0] else {
             panic!("{:?}", out[0]);
         };
@@ -2264,9 +2319,7 @@ mod tests {
         let wake = slot.next_wake(&p, t).expect("due");
         // First fire injects fine; the catch-up re-arm (5ms + huge + huge)
         // overflows and must surface as an error, not a wrapping panic.
-        let err = slot
-            .process(&p, &mut cache, wake)
-            .expect_err("re-arm overflows");
+        let err = process(&mut slot, &p, &mut cache, wake).expect_err("re-arm overflows");
         assert_eq!(err, SlotError::TimerOverflow { timer_id: 4 });
     }
 
@@ -2284,7 +2337,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(RearmGuest), DefenseMode::baseline());
-        let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         assert_eq!(out.len(), 2, "both arms emit hardware events");
         let SlotOutput::TimerArm { fire_seq: old, .. } = out[0] else {
             panic!()
@@ -2311,7 +2364,7 @@ mod tests {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(IdleGuest), stopwatch_cfg().mode);
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let err = slot
             .timer_elapsed(&p, SimTime::from_millis(1), 42, VirtOffset::from_nanos(0))
             .expect_err("no such fire");
@@ -2337,7 +2390,7 @@ mod tests {
                 fires: Vec::new(),
             };
             let mut slot = slot_with(Box::new(guest), deterland);
-            let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+            let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
             let SlotOutput::TimerArm { fire_seq, .. } = out[0] else {
                 panic!("{:?}", out[0]);
             };
@@ -2345,7 +2398,7 @@ mod tests {
             slot.timer_elapsed(&p, t, fire_seq, VirtOffset::from_millis(delay_ms))
                 .expect("live fire");
             let wake = slot.next_wake(&p, t).expect("due");
-            slot.process(&p, &mut cache, wake).expect("process");
+            process(&mut slot, &p, &mut cache, wake).expect("process");
             vtimer_fires(&mut slot)[0].0
         };
         let on_time = observe(0);
@@ -2367,9 +2420,9 @@ mod tests {
             },
         };
         let mut slot = slot_with(Box::<CacheProber>::default(), bucketed);
-        slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+        boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
         let wake = slot.next_wake(&p, SimTime::ZERO).expect("probe wake");
-        slot.process(&p, &mut cache, wake).expect("process");
+        process(&mut slot, &p, &mut cache, wake).expect("process");
         assert_eq!(
             probe_readouts(&mut slot),
             vec![(3, 1_000), (4, 1_000)],

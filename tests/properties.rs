@@ -144,16 +144,18 @@ proptest! {
     fn pgm_reliable_under_loss(loss_mask in prop::collection::vec(any::<bool>(), 1..40)) {
         let mut tx = PgmSender::new(256);
         let mut rx = PgmReceiver::new();
+        let (mut out, mut retx_out) = (RxOutput::default(), RxOutput::default());
         let n = loss_mask.len();
         let mut delivered: Vec<usize> = Vec::new();
         for (i, lost) in loss_mask.iter().enumerate() {
             let pkt = tx.send(i);
             if !*lost {
-                let out = rx.on_packet(pkt);
-                delivered.extend(out.delivered);
+                rx.on_packet(pkt, &mut out);
+                delivered.extend(out.delivered.drain(..));
                 // NAKs answered immediately (the cloud does this over links).
                 for retx in tx.on_nak(&out.nak_missing) {
-                    delivered.extend(rx.on_packet(retx).delivered);
+                    rx.on_packet(retx, &mut retx_out);
+                    delivered.extend(retx_out.delivered.drain(..));
                 }
             }
         }
@@ -164,7 +166,8 @@ proptest! {
                 break;
             }
             for retx in tx.on_nak(&naks) {
-                delivered.extend(rx.on_packet(retx).delivered);
+                rx.on_packet(retx, &mut out);
+                delivered.extend(out.delivered.drain(..));
             }
         }
         // Everything except a possibly-lost tail (no later packet revealed
@@ -265,7 +268,8 @@ proptest! {
 
         // Boot: every entry opens, draining the buffer into the pending
         // table — nothing may remain buffered once the opens happened.
-        let out = slot.boot(&p, &mut cache, t0).expect("boot");
+        let mut out = Vec::new();
+        slot.boot(&p, &mut cache, t0, &mut out).expect("boot");
         prop_assert_eq!(slot.early_buffered(), 0, "opens must drain the buffer");
 
         // Complete each agreement: our own proposal plus however many
@@ -315,7 +319,8 @@ proptest! {
         // Drain deliveries; every interrupt must reach the guest.
         while let Some(wake) = slot.next_wake(&p, t) {
             t = t.max(wake);
-            slot.process(&p, &mut cache, t).expect("process");
+            slot.process(&p, &mut cache, t, &mut Vec::new())
+                .expect("process");
         }
         prop_assert_eq!(slot.counters().get("cache_irq"), 1);
         prop_assert_eq!(slot.counters().get("disk_irq"), 1);
