@@ -77,6 +77,10 @@ impl ChannelPayload {
     }
 }
 
+/// The order interrupts are injected in: `(injection branch, delivery
+/// virt, class rank, id, kind)` — the PIT tick carries kind `None`.
+pub(crate) type InjectionKey = (u64, VirtNanos, u8, u64, Option<ChannelKind>);
+
 /// Dense row handle into the table (stable until the row is removed).
 pub(crate) type Row = u32;
 
@@ -105,6 +109,15 @@ pub(crate) struct PendingTable {
     stride: usize,
     // ---- cold column (touched at injection / data arrival) ----
     payload: Vec<Option<ChannelPayload>>,
+    // ---- agreement holds ----
+    /// Rows whose still-open agreement holds the guest back (see
+    /// [`PendingTable::hold`]); their `inj_branch` is the earliest
+    /// injection branch and `hold_virt` the earliest delivery the agreed
+    /// median can have.
+    holding: Vec<bool>,
+    hold_virt: Vec<VirtNanos>,
+    /// Number of `holding` rows, so the no-hold case skips the scan.
+    held: usize,
 }
 
 impl PendingTable {
@@ -154,6 +167,8 @@ impl PendingTable {
                 self.props
                     .resize(self.props.len() + self.stride, VirtNanos::ZERO);
                 self.payload.push(None);
+                self.holding.push(false);
+                self.hold_virt.push(VirtNanos::ZERO);
                 r
             }
         };
@@ -214,6 +229,7 @@ impl PendingTable {
         seq: u64,
     ) -> Option<(ChannelPayload, Option<VirtNanos>)> {
         let row = self.index.remove(&(kind.id(), seq))?;
+        self.release_hold(row);
         let r = row as usize;
         let payload = self.payload[r].take().expect("live row has a payload");
         let deliver = self.deliver[r].take();
@@ -230,6 +246,7 @@ impl PendingTable {
 
     /// Fixes the delivery time and caches its injection branch.
     pub fn set_deliver(&mut self, row: Row, deliver: VirtNanos, inj_branch: u64) {
+        self.release_hold(row);
         let r = row as usize;
         debug_assert!(self.deliver[r].is_none(), "delivery fixed twice");
         self.deliver[r] = Some(deliver);
@@ -275,6 +292,50 @@ impl PendingTable {
         timestats::order_stats::median_odd_in_place(
             &mut self.props[r * self.stride..r * self.stride + len],
         )
+    }
+
+    /// Marks an open agreement row as holding the guest back until its
+    /// delivery is fixed: `earliest` is the earliest delivery the agreed
+    /// median can have and `branch` its injection branch. Nothing that
+    /// would inject or run after such a delivery may run meanwhile (see
+    /// [`PendingTable::hold_key`]).
+    pub fn hold(&mut self, row: Row, earliest: VirtNanos, branch: u64) {
+        let r = row as usize;
+        debug_assert!(self.deliver[r].is_none() && !self.holding[r]);
+        self.holding[r] = true;
+        self.hold_virt[r] = earliest;
+        self.inj_branch[r] = branch;
+        self.held += 1;
+    }
+
+    fn release_hold(&mut self, row: Row) {
+        let r = row as usize;
+        if self.holding[r] {
+            self.holding[r] = false;
+            self.held -= 1;
+        }
+    }
+
+    /// The smallest injection key any held row's agreed delivery can
+    /// have — `(branch, delivery, rank, id, kind)`, the order
+    /// `GuestSlot` injects in — or `None` when nothing is held.
+    pub fn hold_key(&self) -> Option<InjectionKey> {
+        if self.held == 0 {
+            return None;
+        }
+        (0..self.keys.len())
+            .filter(|&r| self.holding[r])
+            .map(|r| {
+                let (kind, id) = self.keys[r];
+                (
+                    self.inj_branch[r],
+                    self.hold_virt[r],
+                    kind.injection_rank(),
+                    id,
+                    Some(kind),
+                )
+            })
+            .min()
     }
 
     /// Visits every injectable row: fixed delivery, data ready. Passes

@@ -41,7 +41,7 @@ use crate::clock::VirtualClock;
 pub use crate::defense::{DefenseMode, ReleaseRule};
 use crate::devices::PlatformClocks;
 use crate::guest::{GuestAction, GuestEnv, GuestProgram};
-use crate::pending::{ChannelPayload, PendingTable};
+use crate::pending::{ChannelPayload, InjectionKey, PendingTable, Row};
 use crate::speed::SpeedProfile;
 use netsim::packet::{EndpointId, Packet};
 use simkit::fxhash::FxHashMap;
@@ -553,12 +553,9 @@ impl GuestSlot {
     /// `(injection branch, delivery virt, class rank, id)` —
     /// replica-identical. The rank keeps the legacy timer/disk/net/cache
     /// order (see [`ChannelKind::injection_rank`]).
-    fn next_due_injection(
-        &self,
-        phys: u64,
-    ) -> Option<(u64, VirtNanos, u8, u64, Option<ChannelKind>)> {
-        let mut best: Option<(u64, VirtNanos, u8, u64, Option<ChannelKind>)> = None;
-        let mut consider = |cand: (u64, VirtNanos, u8, u64, Option<ChannelKind>)| {
+    fn next_due_injection(&self, phys: u64) -> Option<InjectionKey> {
+        let mut best: Option<InjectionKey> = None;
+        let mut consider = |cand: InjectionKey| {
             if cand.0 <= phys && best.as_ref().is_none_or(|b| cand < *b) {
                 best = Some(cand);
             }
@@ -634,6 +631,11 @@ impl GuestSlot {
                 best = Some((self.pc, 2));
             }
             let Some((pos, rank)) = best else { break };
+            if self.held_at(pos, rank, inj) {
+                // An unagreed readout may land first: wait for its
+                // median (its arrival reschedules this slot).
+                break;
+            }
             debug_assert!(pos <= phys, "processing beyond physical progress");
             match rank {
                 0 => {
@@ -710,7 +712,15 @@ impl GuestSlot {
                         // locally measured completion time and wait for
                         // the median (Fig. 3's flow, cache edition).
                         let proposal = local + policy.offset;
-                        self.open_pending(ChannelKind::Cache, probe_id, payload);
+                        // No replica proposes before a hit's completion.
+                        let earliest =
+                            issue_virt + policy.offset + VirtOffset::from_nanos(CacheModel::HIT_NS);
+                        let hold = policy.hold_until_agreed;
+                        let row = self.open_pending(ChannelKind::Cache, probe_id, payload);
+                        if hold {
+                            let branch = self.injection_branch(earliest);
+                            self.pending.hold(row, earliest, branch);
+                        }
                         out.push(SlotOutput::Proposal {
                             kind: ChannelKind::Cache,
                             seq: probe_id,
@@ -833,17 +843,18 @@ impl GuestSlot {
     /// `replicas - 1` peers are buffered and this replica's own proposal
     /// is still outstanding), so no clamp check is needed here — the
     /// zero sentinel would skip it in the impossible case.
-    fn open_pending(&mut self, kind: ChannelKind, seq: u64, payload: ChannelPayload) {
+    fn open_pending(&mut self, kind: ChannelKind, seq: u64, payload: ChannelPayload) -> Row {
         let DefenseMode::StopWatch { replicas, .. } = self.cfg.mode else {
             unreachable!("agreement entries are a StopWatch flow");
         };
-        self.pending.insert_agreeing(kind, seq, payload, replicas);
+        let row = self.pending.insert_agreeing(kind, seq, payload, replicas);
         // Drained in arrival order.
         let mut n = 0;
         while let Some(p) = self.early.remove(&(kind.id(), seq, n)) {
             self.record_proposal(kind, seq, p, VirtNanos::ZERO);
             n += 1;
         }
+        row
     }
 
     fn inject(
@@ -1311,28 +1322,53 @@ impl GuestSlot {
         self.early.len()
     }
 
+    /// `true` when `process`'s next candidate — at `(pos, rank)`, with
+    /// injection key `inj` when it is an injection — must wait for a held
+    /// agreement (see [`ChannelPolicy::hold_until_agreed`]). The held
+    /// readout will be injected at position `max(hold branch, pc)` or
+    /// later, with rank 1 and a key no smaller than the hold key; only
+    /// work ordered strictly before that may run.
+    fn held_at(&self, pos: u64, rank: u8, inj: Option<InjectionKey>) -> bool {
+        let Some(hold) = self.pending.hold_key() else {
+            return false;
+        };
+        let hold_pos = hold.0.max(self.pc);
+        match (pos, rank).cmp(&(hold_pos, 1)) {
+            std::cmp::Ordering::Less => false,
+            std::cmp::Ordering::Greater => true,
+            std::cmp::Ordering::Equal => inj.is_none_or(|key| key >= hold),
+        }
+    }
+
     /// The next absolute time at which this slot needs to run, given its
     /// pending work (`None` = fully idle until new input).
     pub fn next_wake(&self, profile: &SpeedProfile, now: SimTime) -> Option<SimTime> {
-        let mut target: Option<u64> = None;
-        let mut consider = |b: u64| match target {
-            Some(t) if t <= b => {}
-            _ => target = Some(b),
+        // The earliest candidate in `process`'s `(position, rank)` order:
+        // compute completion 0, injection 1, zero-branch action 2.
+        let pc = self.pc;
+        let mut best: Option<(u64, u8)> = None;
+        let mut consider = |pos: u64, rank: u8| {
+            if best.is_none_or(|b| (pos, rank) < b) {
+                best = Some((pos, rank));
+            }
         };
         match self.actions.front() {
             Some(GuestAction::Compute { branches }) => {
-                consider(self.compute_end.unwrap_or(self.pc + branches));
+                consider(self.compute_end.unwrap_or(pc + branches), 0);
             }
-            Some(_) => consider(self.pc), // zero-branch: due immediately
+            Some(_) => consider(pc, 2), // zero-branch: due immediately
             None => {}
         }
-        if self.wants_timer {
-            let (_, branch) = self.pit_candidate();
-            consider(branch);
+        // The earliest injection overall (PIT tick included).
+        let inj = self.next_due_injection(u64::MAX);
+        if let Some((branch, ..)) = inj {
+            consider(branch.max(pc), 1);
         }
-        self.pending
-            .for_each_due(|branch, _, _, _| consider(branch));
-        let target = target?;
+        let (target, rank) = best?;
+        if self.held_at(target, rank, inj) {
+            // Nothing can run until a held agreement completes.
+            return None;
+        }
         let start = now.max(self.resume_at);
         // The wake instant is the earliest time the slot's branch
         // trajectory reaches `target` — a function of the slot's synced
@@ -1998,6 +2034,64 @@ mod tests {
             vec![(3, CacheModel::HIT_NS), (4, CacheModel::HIT_NS)],
             "median of (miss, hit, hit) reads hit"
         );
+    }
+
+    /// Probes one line at boot and takes PIT ticks, logging the order in
+    /// which the readout and the ticks reach it.
+    #[derive(Default)]
+    struct TickingProber {
+        log: Vec<&'static str>,
+    }
+
+    impl GuestProgram for TickingProber {
+        fn on_boot(&mut self, env: &mut GuestEnv) {
+            env.cache_probe(3, 1);
+        }
+        fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
+        fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
+        fn on_cache_probe(&mut self, _set: u64, _tag: u64, _latency: u64, _env: &mut GuestEnv) {
+            self.log.push("readout");
+        }
+        fn on_timer(&mut self, _env: &mut GuestEnv) {
+            self.log.push("tick");
+        }
+        fn wants_timer(&self) -> bool {
+            true
+        }
+        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    #[test]
+    fn late_cache_agreement_holds_the_guest_at_the_readout_exit() {
+        // The last peer proposal arrives long after the readout's exit and
+        // after several PIT ticks came due: the replica must not run on
+        // past the exit (that would inject the ticks first, which the
+        // peers that agreed in time did not do).
+        let p = profile();
+        let mut cache = CacheModel::new(8, 2);
+        let mut slot = slot_with(Box::<TickingProber>::default(), stopwatch_cfg().mode);
+        let out = boot(&mut slot, &p, &mut cache, SimTime::ZERO).expect("boot");
+        let [SlotOutput::Proposal { seq, proposal, .. }] = out[..] else {
+            panic!("{out:?}");
+        };
+        let late = SimTime::from_millis(20);
+        assert_eq!(slot.next_wake(&p, late), None, "held: nothing may run");
+        process(&mut slot, &p, &mut cache, late).expect("process");
+        assert_eq!(
+            slot.counters().get("timer_irq"),
+            0,
+            "no tick overtook the readout"
+        );
+        for proposal in [proposal, proposal, proposal] {
+            slot.add_proposal(&p, late, ChannelKind::Cache, seq, proposal);
+        }
+        process(&mut slot, &p, &mut cache, late).expect("process");
+        let guest = slot.program_mut().as_any_mut().expect("prober");
+        let log = &guest.downcast_mut::<TickingProber>().expect("type").log;
+        assert_eq!(log[0], "readout", "readout first, at its own exit: {log:?}");
+        assert!(log[1..].iter().all(|&e| e == "tick") && log.len() > 1);
     }
 
     #[test]

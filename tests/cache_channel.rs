@@ -4,7 +4,8 @@
 //! accuracy must collapse from near-certain to chance.
 
 use harness::prelude::*;
-use simkit::time::SimDuration;
+use simkit::time::{SimDuration, SimTime};
+use workloads::cache::PrimeProbeGuest;
 
 /// A fixed 4-cell grid (defense arm x victim presence) over 3 seeds,
 /// anchored on the clean baseline cell.
@@ -114,4 +115,54 @@ fn recovery_accuracy_degrades_toward_chance_as_replicas_grow() {
         assert_eq!(c.timeouts, 0, "cell {} timed out", c.cell);
         assert_eq!(c.completed, 3 * 40, "cell {} rounds", c.cell);
     }
+}
+
+/// Regression for a replica divergence that panicked with "virtual time
+/// subtraction underflow". Cache readouts propose their measured
+/// completion with no offset, so each readout is injected at the exit
+/// after its median becomes known. At this seed one replica's last peer
+/// proposal arrived after that replica had run on past its next PIT
+/// tick: it injected the tick first, the readouts one tick late, and
+/// primed and probed the next round a tick after its peers. The next
+/// round's median, taken over proposals from both rounds, then preceded
+/// the late replica's own issue instant. Held agreements
+/// (`ChannelPolicy::hold_until_agreed`) keep every replica at the
+/// readouts' exit until the median is in, so all replicas read the same
+/// latencies at the same logical points.
+#[test]
+fn late_cache_agreement_holds_the_replica_instead_of_diverging() {
+    let mut s = Scenario::new("cache-channel", 200_163);
+    s.workload_params = vec![
+        ("rounds".to_string(), "60".to_string()),
+        ("victim".to_string(), "false".to_string()),
+    ];
+    s.overrides = [
+        ("defense", "stopwatch"),
+        ("broadcast_band", "off"),
+        ("disk", "rotating"),
+        ("delta_d_ms", "25"),
+        ("image_blocks", "16000000"),
+    ]
+    .iter()
+    .map(|&(k, v)| (k.to_string(), v.to_string()))
+    .collect();
+    s.duration = SimDuration::from_secs(120);
+    let (mut sim, workload) = s.build().expect("scenario builds");
+    sim.run_until_clients_done(SimTime::ZERO + s.duration);
+    assert_eq!(sim.error(), None);
+    assert!(sim.cloud.clients_done(), "the attacker finished its rounds");
+    let vm = workload.vm();
+    let replicas = sim.cloud.vm_replicas(vm).len();
+    assert_eq!(replicas, 3);
+    let samples: Vec<Vec<u64>> = (0..replicas)
+        .map(|r| {
+            let guest = sim.cloud.guest_program::<PrimeProbeGuest>(vm, r);
+            guest.expect("attacker replica").samples_ns().to_vec()
+        })
+        .collect();
+    assert!(!samples[0].is_empty());
+    assert!(
+        samples.windows(2).all(|w| w[0] == w[1]),
+        "every replica reads the same probe latencies"
+    );
 }
