@@ -10,7 +10,7 @@ use crate::registry::{
 use netsim::packet::{AppData, Body, EndpointId, Packet};
 use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent};
 use simkit::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use stopwatch_core::cloud::{ClientApp, ClientHandle, CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
@@ -123,10 +123,10 @@ struct PendingOp {
 /// (pipelined ops queue behind each other, like RPCs on one stream).
 pub struct NfsServerGuest {
     cfg: TcpConfig,
-    conns: HashMap<u64, TcpEndpoint>,
+    conns: BTreeMap<u64, TcpEndpoint>,
     // Per-connection op FIFO; the head is in service.
-    queues: HashMap<u64, VecDeque<PendingOp>>,
-    in_service: HashMap<u64, bool>,
+    queues: BTreeMap<u64, VecDeque<PendingOp>>,
+    in_service: BTreeMap<u64, bool>,
     awaiting_disk: VecDeque<u64>, // conn ids whose head op awaits disk
     ops_done: u64,
 }
@@ -136,9 +136,9 @@ impl NfsServerGuest {
     pub fn new() -> Self {
         NfsServerGuest {
             cfg: TcpConfig::default(),
-            conns: HashMap::new(),
-            queues: HashMap::new(),
-            in_service: HashMap::new(),
+            conns: BTreeMap::new(),
+            queues: BTreeMap::new(),
+            in_service: BTreeMap::new(),
             awaiting_disk: VecDeque::new(),
             ops_done: 0,
         }

@@ -10,7 +10,7 @@ use netsim::packet::{AppData, Body, EndpointId, Packet};
 use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpState};
 use netsim::udp::{UdpClientEvent, UdpFileClient, UdpFileServer};
 use simkit::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use stopwatch_core::cloud::{ClientApp, ClientHandle, CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
@@ -37,7 +37,7 @@ fn vnow(env: &GuestEnv) -> SimTime {
 /// A web server guest serving files over TCP (Apache in the paper).
 pub struct FileServerGuest {
     cfg: TcpConfig,
-    conns: HashMap<u64, TcpEndpoint>,
+    conns: BTreeMap<u64, TcpEndpoint>,
     awaiting_disk: VecDeque<(u64, u64)>, // (conn, bytes) FIFO
     ready_to_send: VecDeque<(u64, u64)>, // disk done, waiting for handshake
     served: u64,
@@ -48,7 +48,7 @@ impl FileServerGuest {
     pub fn new() -> Self {
         FileServerGuest {
             cfg: TcpConfig::default(),
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             awaiting_disk: VecDeque::new(),
             ready_to_send: VecDeque::new(),
             served: 0,

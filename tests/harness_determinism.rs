@@ -127,3 +127,24 @@ fn cache_channel_sweep_is_thread_count_and_engine_arm_invariant() {
     assert!(one.contains("\"failures\": []"), "runs were not vacuous");
     assert!(one.contains("\"cache_irq\""), "probe counters aggregated");
 }
+
+/// The Fig 6 StopWatch cell at 400 ops/s must replay exactly. Its NFS
+/// server walks its connection table on every timer tick; while that
+/// table was a randomly seeded hash map the walk order — and so the order
+/// in which retransmissions left each replica — changed from run to run
+/// (and between replicas), and this seed sometimes finished all 400 ops
+/// and sometimes stalled at 366.
+#[test]
+fn nfs_fig6_stopwatch_cell_replays_exactly() {
+    let mut s = Scenario::new("nfs", 25_002);
+    s.workload_params = vec![
+        ("rate".to_string(), "400".to_string()),
+        ("ops".to_string(), "400".to_string()),
+    ];
+    s.overrides = vec![("defense".to_string(), "stopwatch".to_string())];
+    let first = s.run().expect("scenario runs");
+    assert_eq!(first.completed, 400, "every op completes");
+    for _ in 0..3 {
+        assert_eq!(s.run().expect("scenario runs"), first);
+    }
+}
