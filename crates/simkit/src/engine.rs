@@ -606,7 +606,7 @@ mod tests {
                 let tag = u64::from(self.spawned);
                 let delta = self.next() % 4; // 0..3 ms, 0 = same time
                 let id = sim.schedule_in(SimDuration::from_millis(delta), tag);
-                if self.next() % 7 == 0 {
+                if self.next().is_multiple_of(7) {
                     sim.cancel(id);
                 }
             }

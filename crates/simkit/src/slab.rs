@@ -70,16 +70,6 @@ impl<T> Slab<T> {
         self.free.push(index);
         value
     }
-
-    /// Payloads currently parked.
-    pub fn len(&self) -> usize {
-        self.items.len() - self.free.len()
-    }
-
-    /// `true` when nothing is parked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -91,16 +81,13 @@ mod tests {
         let mut slab = Slab::default();
         let ids: Vec<u32> = (0..4).map(|i| slab.park(i)).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
-        assert_eq!(slab.len(), 4);
         assert_eq!(slab.take(1), 1);
         assert_eq!(slab.take(2), 2);
         assert_eq!(slab.park(20), 2);
         assert_eq!(slab.park(10), 1);
         assert_eq!(slab.items.len(), 4, "recycled, not grown");
-        for i in [0, 1, 2, 3] {
-            slab.take(i);
-        }
-        assert!(slab.is_empty());
+        let rest: Vec<i32> = [0, 1, 2, 3].into_iter().map(|i| slab.take(i)).collect();
+        assert_eq!(rest, vec![0, 10, 20, 3]);
     }
 
     #[test]
