@@ -162,14 +162,6 @@ impl<T> PgmReceiver<T> {
         if seq < self.expected || self.buffer.contains_key(&seq) {
             return; // duplicate
         }
-        if seq == self.expected && self.buffer.is_empty() {
-            // In-order with no gap open (the common case): deliver
-            // straight through, without a round trip via the reorder
-            // buffer. With no gap there is nothing to NAK either.
-            out.delivered.push(payload);
-            self.expected += 1;
-            return;
-        }
         self.buffer.insert(seq, payload);
         // Deliver the in-order prefix.
         while let Some(payload) = self.buffer.remove(&self.expected) {

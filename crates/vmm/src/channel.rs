@@ -145,20 +145,6 @@ pub struct ChannelPolicy {
     /// channels (net/disk arrivals, cache exits), whose proposals reach
     /// every replica promptly regardless of virtual-time skew.
     pub fix_on_majority: bool,
-    /// Whether an open entry holds the guest back until its delivery is
-    /// agreed: no interrupt, compute completion or zero-branch action may
-    /// run at or past the earliest exit the agreed delivery could land on.
-    /// `true` for cache readouts: they propose the measured completion
-    /// with no offset, so the median is already in the past whenever it
-    /// is fixed and the readout is injected at the replica's *current*
-    /// position. Without the hold, a replica whose last peer proposal
-    /// arrives late runs on past that exit (a PIT tick, say) and injects
-    /// the readout later than its peers — the replicas' logical
-    /// histories, and from then on their probe issue instants, diverge.
-    /// `false` for the offset channels (net, disk, timer), whose
-    /// Δ offsets exist to make the median arrive in time and whose
-    /// overruns are counted instead.
-    pub hold_until_agreed: bool,
 }
 
 /// The full per-channel policy table of one StopWatch slot.
@@ -181,21 +167,18 @@ impl ChannelPolicies {
                 clamp_counter: Some("sync_violations"),
                 buffer_early: false,
                 fix_on_majority: false,
-                hold_until_agreed: false,
             },
             cache: ChannelPolicy {
                 offset: VirtOffset::from_nanos(0),
                 clamp_counter: None,
                 buffer_early: true,
                 fix_on_majority: false,
-                hold_until_agreed: true,
             },
             disk: ChannelPolicy {
                 offset: delta_d,
                 clamp_counter: None,
                 buffer_early: true,
                 fix_on_majority: false,
-                hold_until_agreed: false,
             },
             // Timers are guest-armed, so the pending entry exists on every
             // replica before any proposal can arrive — buffer early peers
@@ -210,7 +193,6 @@ impl ChannelPolicies {
                 clamp_counter: None,
                 buffer_early: true,
                 fix_on_majority: true,
-                hold_until_agreed: false,
             },
         }
     }
@@ -269,12 +251,6 @@ mod tests {
         assert!(!p.policy(ChannelKind::Cache).fix_on_majority);
         assert!(!p.policy(ChannelKind::Disk).fix_on_majority);
         assert!(p.policy(ChannelKind::Timer).fix_on_majority);
-        // Only the zero-offset cache channel holds the guest for its
-        // agreement.
-        assert!(p.policy(ChannelKind::Cache).hold_until_agreed);
-        assert!(!p.policy(ChannelKind::Net).hold_until_agreed);
-        assert!(!p.policy(ChannelKind::Disk).hold_until_agreed);
-        assert!(!p.policy(ChannelKind::Timer).hold_until_agreed);
     }
 
     #[test]

@@ -715,12 +715,19 @@ impl GuestSlot {
                         // No replica proposes before a hit's completion.
                         let earliest =
                             issue_virt + policy.offset + VirtOffset::from_nanos(CacheModel::HIT_NS);
-                        let hold = policy.hold_until_agreed;
                         let row = self.open_pending(ChannelKind::Cache, probe_id, payload);
-                        if hold {
-                            let branch = self.injection_branch(earliest);
-                            self.pending.hold(row, earliest, branch);
-                        }
+                        // Hold the guest until the median is in: nothing
+                        // may run at or past the earliest exit the agreed
+                        // readout could land on. With no offset the median
+                        // is already in the past whenever it is fixed, so
+                        // the readout is injected at this replica's
+                        // current position. A replica whose last peer
+                        // proposal came late would otherwise run on past
+                        // that exit (a PIT tick, say) and inject the
+                        // readout later than its peers, and the replicas'
+                        // probe issue instants would diverge from then on.
+                        let branch = self.injection_branch(earliest);
+                        self.pending.hold(row, earliest, branch);
                         out.push(SlotOutput::Proposal {
                             kind: ChannelKind::Cache,
                             seq: probe_id,
@@ -1324,7 +1331,7 @@ impl GuestSlot {
 
     /// `true` when `process`'s next candidate — at `(pos, rank)`, with
     /// injection key `inj` when it is an injection — must wait for a held
-    /// agreement (see [`ChannelPolicy::hold_until_agreed`]). The held
+    /// agreement (an open StopWatch cache readout). The held
     /// readout will be injected at position `max(hold branch, pc)` or
     /// later, with rank 1 and a key no smaller than the hold key; only
     /// work ordered strictly before that may run.

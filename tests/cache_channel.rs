@@ -125,10 +125,9 @@ fn recovery_accuracy_degrades_toward_chance_as_replicas_grow() {
 /// tick: it injected the tick first, the readouts one tick late, and
 /// primed and probed the next round a tick after its peers. The next
 /// round's median, taken over proposals from both rounds, then preceded
-/// the late replica's own issue instant. Held agreements
-/// (`ChannelPolicy::hold_until_agreed`) keep every replica at the
-/// readouts' exit until the median is in, so all replicas read the same
-/// latencies at the same logical points.
+/// the late replica's own issue instant. An open cache readout now
+/// holds every replica at the readouts' exit until the median is in, so
+/// all replicas read the same latencies at the same logical points.
 #[test]
 fn late_cache_agreement_holds_the_replica_instead_of_diverging() {
     let mut s = Scenario::new("cache-channel", 200_163);
