@@ -850,7 +850,7 @@ mod tests {
     fn describe_covers_known_names_and_rejects_typos() {
         assert!(describe(None).is_ok());
         assert!(describe(Some("web-http")).is_ok());
-        let err = describe(Some("web-htp")).err().expect("unknown workload");
+        let err = describe(Some("web-htp")).expect_err("unknown workload");
         assert!(err.contains("did you mean \"web-http\""), "{err}");
     }
 }

@@ -58,10 +58,18 @@ pub enum EgressDecision {
     },
 }
 
+/// The vote on one output packet, kept until every replica's copy is in.
 #[derive(Debug, Clone)]
 struct CopyState {
-    /// Distinct content hashes seen and their copy counts.
-    groups: Vec<(u64, u8)>,
+    /// The first content hash seen and its copy count: the agreeing group
+    /// whenever the replicas agree, held inline so a vote allocates
+    /// nothing.
+    first: (u64, u8),
+    /// Every other content hash seen and its copy count; non-empty only
+    /// on divergence.
+    others: Vec<(u64, u8)>,
+    /// Copies received so far, over all groups.
+    copies: u8,
     forwarded: bool,
 }
 
@@ -69,6 +77,8 @@ struct CopyState {
 /// timing and votes on content.
 #[derive(Debug, Clone, Default)]
 pub struct EgressNode {
+    /// Votes still waiting for copies, by `(guest, output index)`; an
+    /// entry is retired when the last replica's copy arrives.
     seen: FxHashMap<(EndpointId, u64), CopyState>,
     forwarded: u64,
     divergences: u64,
@@ -81,7 +91,8 @@ impl EgressNode {
     }
 
     /// Consumes one tunneled copy of output packet number `out_seq` from
-    /// guest `guest`, received from replica host `from`.
+    /// guest `guest`, received from replica host `from`; `replicas` is the
+    /// guest's replica count, so the vote is retired with the last copy.
     ///
     /// Copies are grouped by content hash (majority voting): the packet is
     /// forwarded the moment any hash group reaches two copies — the median
@@ -94,34 +105,54 @@ impl EgressNode {
         out_seq: u64,
         from: NetNode,
         packet: Packet,
+        replicas: usize,
     ) -> EgressDecision {
         let hash = packet.content_hash();
-        let entry = self.seen.entry((guest, out_seq)).or_insert(CopyState {
-            groups: Vec::new(),
+        let key = (guest, out_seq);
+        let entry = self.seen.entry(key).or_insert(CopyState {
+            first: (hash, 0),
+            others: Vec::new(),
+            copies: 0,
             forwarded: false,
         });
-        let this_group = match entry.groups.iter_mut().find(|(h, _)| *h == hash) {
-            Some((_, count)) => {
-                *count += 1;
-                *count
-            }
-            None => {
-                entry.groups.push((hash, 1));
-                1
+        let this_group = if entry.first.0 == hash {
+            entry.first.1 += 1;
+            entry.first.1
+        } else {
+            match entry.others.iter_mut().find(|(h, _)| *h == hash) {
+                Some((_, count)) => {
+                    *count += 1;
+                    *count
+                }
+                None => {
+                    entry.others.push((hash, 1));
+                    1
+                }
             }
         };
-        if entry.groups.len() > 1 {
+        entry.copies += 1;
+        let diverged = !entry.others.is_empty();
+        if diverged {
             self.divergences += 1;
         }
-        if this_group == 2 && !entry.forwarded {
+        let decision = if this_group == 2 && !entry.forwarded {
             entry.forwarded = true;
             self.forwarded += 1;
-            return EgressDecision::Forward(packet);
+            EgressDecision::Forward(packet)
+        } else if diverged && this_group == 1 {
+            EgressDecision::Divergence { from }
+        } else {
+            EgressDecision::Hold
+        };
+        if usize::from(entry.copies) >= replicas {
+            self.seen.remove(&key);
         }
-        if entry.groups.len() > 1 && this_group == 1 {
-            return EgressDecision::Divergence { from };
-        }
-        EgressDecision::Hold
+        decision
+    }
+
+    /// Output packets whose vote still waits for a replica's copy.
+    pub fn in_flight(&self) -> usize {
+        self.seen.len()
     }
 
     /// Packets forwarded so far.
@@ -132,12 +163,6 @@ impl EgressNode {
     /// Divergent copies observed so far.
     pub fn divergences(&self) -> u64 {
         self.divergences
-    }
-
-    /// Drops per-packet state older than `out_seq < floor` for `guest`
-    /// (bounded memory in long runs).
-    pub fn gc(&mut self, guest: EndpointId, floor: u64) {
-        self.seen.retain(|(g, s), _| *g != guest || *s >= floor);
     }
 }
 
@@ -163,13 +188,19 @@ mod tests {
     fn egress_forwards_second_copy() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        assert_eq!(eg.on_copy(g, 0, NetNode(0), pkt(7)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(0), pkt(7), 3),
+            EgressDecision::Hold
+        );
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(1), pkt(7)),
+            eg.on_copy(g, 0, NetNode(1), pkt(7), 3),
             EgressDecision::Forward(_)
         ));
         // Third copy is held (already forwarded).
-        assert_eq!(eg.on_copy(g, 0, NetNode(2), pkt(7)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(2), pkt(7), 3),
+            EgressDecision::Hold
+        );
         assert_eq!(eg.forwarded(), 1);
     }
 
@@ -177,9 +208,12 @@ mod tests {
     fn egress_keeps_streams_separate() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        eg.on_copy(g, 0, NetNode(0), pkt(7));
+        eg.on_copy(g, 0, NetNode(0), pkt(7), 3);
         // A different out_seq does not complete seq 0.
-        assert_eq!(eg.on_copy(g, 1, NetNode(1), pkt(8)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 1, NetNode(1), pkt(8), 3),
+            EgressDecision::Hold
+        );
         assert_eq!(eg.forwarded(), 0);
     }
 
@@ -187,13 +221,13 @@ mod tests {
     fn egress_detects_divergence() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        eg.on_copy(g, 0, NetNode(0), pkt(7));
-        let d = eg.on_copy(g, 0, NetNode(1), pkt(8));
+        eg.on_copy(g, 0, NetNode(0), pkt(7), 3);
+        let d = eg.on_copy(g, 0, NetNode(1), pkt(8), 3);
         assert_eq!(d, EgressDecision::Divergence { from: NetNode(1) });
         assert_eq!(eg.divergences(), 1);
         // The two matching replicas still get the packet out.
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(2), pkt(7)),
+            eg.on_copy(g, 0, NetNode(2), pkt(7), 3),
             EgressDecision::Forward(_)
         ));
     }
@@ -204,13 +238,16 @@ mod tests {
         // still form a majority and the packet goes out.
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        assert_eq!(eg.on_copy(g, 0, NetNode(2), pkt(666)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(2), pkt(666), 3),
+            EgressDecision::Hold
+        );
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(0), pkt(7)),
+            eg.on_copy(g, 0, NetNode(0), pkt(7), 3),
             EgressDecision::Divergence { .. }
         ));
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(1), pkt(7)),
+            eg.on_copy(g, 0, NetNode(1), pkt(7), 3),
             EgressDecision::Forward(_)
         ));
         assert_eq!(eg.forwarded(), 1);
@@ -218,17 +255,49 @@ mod tests {
     }
 
     #[test]
-    fn egress_gc_bounds_state() {
+    fn egress_retires_a_vote_with_the_last_copy() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
         for s in 0..10 {
-            eg.on_copy(g, s, NetNode(0), pkt(s));
-            eg.on_copy(g, s, NetNode(1), pkt(s));
+            eg.on_copy(g, s, NetNode(0), pkt(s), 3);
+            eg.on_copy(g, s, NetNode(1), pkt(s), 3);
         }
-        eg.gc(g, 8);
-        // Old seqs re-count from scratch (forwarded again only on 2nd copy).
-        assert_eq!(eg.on_copy(g, 3, NetNode(2), pkt(3)), EgressDecision::Hold);
-        // Recent seq state kept: a third copy of seq 9 is Hold, not Forward.
-        assert_eq!(eg.on_copy(g, 9, NetNode(2), pkt(9)), EgressDecision::Hold);
+        // Every vote still waits for its third copy.
+        assert_eq!(eg.in_flight(), 10);
+        for s in 0..10 {
+            assert_eq!(
+                eg.on_copy(g, s, NetNode(2), pkt(s), 3),
+                EgressDecision::Hold
+            );
+        }
+        assert_eq!(eg.in_flight(), 0);
+        assert_eq!(eg.forwarded(), 10);
+        // Five replicas: the entry lives until the fifth copy.
+        for host in 0..4 {
+            eg.on_copy(g, 20, NetNode(host), pkt(20), 5);
+        }
+        assert_eq!(eg.in_flight(), 1);
+        eg.on_copy(g, 20, NetNode(4), pkt(20), 5);
+        assert_eq!(eg.in_flight(), 0);
+    }
+
+    #[test]
+    fn egress_divergence_count_is_per_copy_after_the_split() {
+        // Every copy that lands once two hash groups exist counts, the
+        // agreeing ones included: [7, 8, 7] counts the 8 and the last 7.
+        let mut eg = EgressNode::new();
+        let g = EndpointId(1);
+        eg.on_copy(g, 0, NetNode(0), pkt(7), 3);
+        eg.on_copy(g, 0, NetNode(1), pkt(8), 3);
+        eg.on_copy(g, 0, NetNode(2), pkt(7), 3);
+        assert_eq!(eg.divergences(), 2);
+        assert_eq!(eg.forwarded(), 1);
+        // A divergent first copy: [666, 7, 7] counts both 7s.
+        eg.on_copy(g, 1, NetNode(2), pkt(666), 3);
+        eg.on_copy(g, 1, NetNode(0), pkt(7), 3);
+        eg.on_copy(g, 1, NetNode(1), pkt(7), 3);
+        assert_eq!(eg.divergences(), 4);
+        assert_eq!(eg.forwarded(), 2);
+        assert_eq!(eg.in_flight(), 0);
     }
 }

@@ -90,11 +90,21 @@ pub struct Fabric {
     default: LinkModel,
     overrides: FxHashMap<(NetNode, NetNode), LinkModel>,
     rng_root: SimRng,
-    streams: FxHashMap<(NetNode, NetNode), SimRng>,
-    /// Per-link FIFO state: when the link's transmitter is next free.
-    /// Cumulative serialization makes bulk sends pace out at wire rate
-    /// instead of departing in parallel.
-    free_at: FxHashMap<(NetNode, NetNode), SimTime>,
+    /// Per-link state, created on the link's first use, so a packet costs
+    /// one lookup.
+    links: FxHashMap<(NetNode, NetNode), LinkState>,
+}
+
+/// One directed link in use.
+#[derive(Debug, Clone)]
+struct LinkState {
+    model: LinkModel,
+    /// The link's own random stream (jitter, loss).
+    rng: SimRng,
+    /// When the link's transmitter is next free. Cumulative serialization
+    /// makes bulk sends pace out at wire rate instead of departing in
+    /// parallel.
+    free_at: SimTime,
 }
 
 impl Fabric {
@@ -104,14 +114,16 @@ impl Fabric {
             default,
             overrides: FxHashMap::default(),
             rng_root: rng,
-            streams: FxHashMap::default(),
-            free_at: FxHashMap::default(),
+            links: FxHashMap::default(),
         }
     }
 
     /// Overrides the link model for the directed pair `(from, to)`.
     pub fn set_link(&mut self, from: NetNode, to: NetNode, model: LinkModel) {
         self.overrides.insert((from, to), model);
+        if let Some(link) = self.links.get_mut(&(from, to)) {
+            link.model = model;
+        }
     }
 
     /// The model applied to `(from, to)`.
@@ -122,18 +134,22 @@ impl Fabric {
             .unwrap_or(self.default)
     }
 
-    fn stream(&mut self, from: NetNode, to: NetNode) -> &mut SimRng {
-        let root = &self.rng_root;
-        self.streams
-            .entry((from, to))
-            .or_insert_with(|| root.stream(&format!("link:{}->{}", from.0, to.0)))
+    /// The state of link `(from, to)`, created with its model and random
+    /// stream on first use.
+    fn state(&mut self, from: NetNode, to: NetNode) -> &mut LinkState {
+        let (default, overrides, root) = (self.default, &self.overrides, &self.rng_root);
+        self.links.entry((from, to)).or_insert_with(|| LinkState {
+            model: overrides.get(&(from, to)).copied().unwrap_or(default),
+            rng: root.stream(&format!("link:{}->{}", from.0, to.0)),
+            free_at: SimTime::ZERO,
+        })
     }
 
     /// Draws the one-way delay for a packet of `bytes` from `from` to `to`,
     /// ignoring queueing (stateless draw).
     pub fn delay(&mut self, from: NetNode, to: NetNode, bytes: u32) -> SimDuration {
-        let model = self.link(from, to);
-        model.delay(bytes, self.stream(from, to))
+        let link = self.state(from, to);
+        link.model.delay(bytes, &mut link.rng)
     }
 
     /// Enqueues a packet of `bytes` on `(from, to)` at time `now` and
@@ -146,24 +162,19 @@ impl Fabric {
         to: NetNode,
         bytes: u32,
     ) -> Option<SimTime> {
-        let model = self.link(from, to);
-        let rng = self.stream(from, to);
-        if model.drops(rng) {
+        let link = self.state(from, to);
+        let model = link.model;
+        if model.drops(&mut link.rng) {
             return None;
         }
         let jitter = if model.jitter.is_zero() {
             SimDuration::ZERO
         } else {
-            rng.uniform_duration(SimDuration::ZERO, model.jitter)
+            link.rng.uniform_duration(SimDuration::ZERO, model.jitter)
         };
-        let free = self
-            .free_at
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let start = now.max(free);
+        let start = now.max(link.free_at);
         let done_serializing = start + model.serialization(bytes);
-        self.free_at.insert((from, to), done_serializing);
+        link.free_at = done_serializing;
         Some(done_serializing + model.base_latency + jitter)
     }
 }

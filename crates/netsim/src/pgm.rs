@@ -56,7 +56,8 @@ pub struct PgmSender<T> {
     next_seq: u64,
     /// The last `window` payloads, oldest first: `history[i]` carries
     /// sequence `next_seq - history.len() + i`. A ring buffer, so a
-    /// steady-state send allocates nothing.
+    /// steady-state send allocates nothing; it starts with room for
+    /// `window.min(64)` payloads, so short streams never regrow it.
     history: VecDeque<T>,
     window: usize,
 }
@@ -71,7 +72,7 @@ impl<T: Clone> PgmSender<T> {
         assert!(window > 0, "history window must be positive");
         PgmSender {
             next_seq: 0,
-            history: VecDeque::new(),
+            history: VecDeque::with_capacity(window.min(64)),
             window,
         }
     }

@@ -4,9 +4,12 @@
 //! teardown.
 //!
 //! The model is sans-I/O: [`TcpEndpoint::on_segment`] consumes a segment
-//! and returns segments to transmit plus application events. Payloads are
-//! lengths, not bytes — enough to drive the packet-count and latency
-//! behaviour that Figs. 5 and 6 measure.
+//! and appends the segments to transmit plus application events to a
+//! caller-owned [`TcpOutput`]. Every entry point writes into a buffer the
+//! caller keeps and reuses (it appends and never clears), so driving a
+//! connection allocates nothing per segment. Payloads are lengths, not
+//! bytes — enough to drive the packet-count and latency behaviour that
+//! Figs. 5 and 6 measure.
 
 use crate::packet::{AppData, Body, EndpointId, Packet, TcpFlags, TcpSegment};
 use simkit::time::{SimDuration, SimTime};
@@ -83,7 +86,9 @@ pub enum TcpEvent {
     SendComplete,
 }
 
-/// Output of consuming one segment or tick.
+/// What consuming segments produces. Callers keep one, pass it to
+/// [`TcpEndpoint::on_segment`] (which appends to it), drain it, and reuse
+/// it, so its buffers are not rebuilt per segment.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TcpOutput {
     /// Segments to transmit, in order.
@@ -212,12 +217,18 @@ impl TcpEndpoint {
 
     /// Queues `bytes` for sending (with optional request data on the first
     /// segment) and optionally a FIN once everything is acknowledged;
-    /// returns the segments the window allows right now.
+    /// appends the segments the window allows right now to `out`.
     ///
     /// # Panics
     ///
     /// Panics if the connection is not established.
-    pub fn send_stream(&mut self, bytes: u64, app: Option<AppData>, fin: bool) -> Vec<Packet> {
+    pub fn send_stream(
+        &mut self,
+        bytes: u64,
+        app: Option<AppData>,
+        fin: bool,
+        out: &mut Vec<Packet>,
+    ) {
         assert!(
             self.state == TcpState::Established,
             "send_stream on non-established connection"
@@ -227,14 +238,13 @@ impl TcpEndpoint {
         }
         self.snd_total += bytes;
         self.snd_fin |= fin;
-        self.pump_send()
+        self.pump_send(out);
     }
 
-    /// Consumes one inbound segment.
-    pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime) -> TcpOutput {
-        let mut out = TcpOutput::default();
+    /// Consumes one inbound segment, appending what it produces to `out`.
+    pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime, out: &mut TcpOutput) {
         if seg.conn != self.conn || self.state == TcpState::Closed {
-            return out;
+            return;
         }
         self.received_segments += 1;
 
@@ -252,7 +262,7 @@ impl TcpEndpoint {
                     0,
                     None,
                 ));
-                return out;
+                return;
             }
             // A duplicate SYN-ACK means our handshake ACK was lost.
             (TcpState::Established, true, true) if self.role == TcpRole::Client => {
@@ -266,7 +276,7 @@ impl TcpEndpoint {
                     self.rcv_next,
                     None,
                 ));
-                return out;
+                return;
             }
             (TcpState::Listen, true, false) if self.role == TcpRole::Server => {
                 self.state = TcpState::SynReceived;
@@ -280,7 +290,7 @@ impl TcpEndpoint {
                     0,
                     None,
                 ));
-                return out;
+                return;
             }
             (TcpState::SynSent, true, true) if self.role == TcpRole::Client => {
                 self.state = TcpState::Established;
@@ -296,7 +306,7 @@ impl TcpEndpoint {
                     None,
                 ));
                 out.events.push(TcpEvent::Connected);
-                return out;
+                return;
             }
             (TcpState::SynReceived, false, true) if self.role == TcpRole::Server => {
                 self.state = TcpState::Established;
@@ -311,7 +321,7 @@ impl TcpEndpoint {
         if seg.flags.ack && seg.ack > self.snd_una {
             self.snd_una = seg.ack.min(self.snd_next);
             self.last_progress = now;
-            out.packets.extend(self.pump_send());
+            self.pump_send(&mut out.packets);
             if self.all_sent_acked() && self.complete_raised_at < self.snd_total {
                 self.complete_raised_at = self.snd_total;
                 out.events.push(TcpEvent::SendComplete);
@@ -324,12 +334,15 @@ impl TcpEndpoint {
                 self.ooo.insert(seg.seq, (seg.len, seg.app));
             }
             let before = self.rcv_next;
-            let mut requests = Vec::new();
+            // The requests go out after the `Delivered` event that covers
+            // them, which is only known once the reassembly below is done:
+            // push them now and slot the event in ahead of them.
+            let first_request = out.events.len();
             while let Some(&(len, app)) = self.ooo.get(&self.rcv_next) {
                 self.ooo.remove(&self.rcv_next);
                 self.rcv_next += u64::from(len);
                 if let Some(a) = app {
-                    requests.push(a);
+                    out.events.push(TcpEvent::Request(a));
                 }
                 if len == 0 {
                     break; // pure-app segment; avoid spinning at same seq
@@ -337,13 +350,13 @@ impl TcpEndpoint {
             }
             let new_bytes = self.rcv_next - before;
             if new_bytes > 0 {
-                out.events.push(TcpEvent::Delivered {
-                    new_bytes,
-                    total: self.rcv_next,
-                });
-            }
-            for a in requests {
-                out.events.push(TcpEvent::Request(a));
+                out.events.insert(
+                    first_request,
+                    TcpEvent::Delivered {
+                        new_bytes,
+                        total: self.rcv_next,
+                    },
+                );
             }
             // One cumulative ACK per data segment (the inbound packets that
             // dominate StopWatch's HTTP overhead, Sec. VII-C).
@@ -389,22 +402,22 @@ impl TcpEndpoint {
                 });
             }
         }
-        out
     }
 
     /// Timer tick: retransmission when no progress for an RTO — go-back-N
     /// for data, and SYN / SYN-ACK re-sends during the handshake (without
     /// which a single lost handshake packet would deadlock the connection).
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Packet> {
+    /// Appends the retransmitted segments to `out`.
+    pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         if now.saturating_duration_since(self.last_progress) < self.cfg.rto {
-            return Vec::new();
+            return;
         }
         match self.state {
             TcpState::SynSent => {
                 self.last_progress = now;
                 self.retransmits += 1;
                 self.sent_segments += 1;
-                vec![self.make_segment(
+                out.push(self.make_segment(
                     TcpFlags {
                         syn: true,
                         ack: false,
@@ -413,12 +426,12 @@ impl TcpEndpoint {
                     0,
                     0,
                     None,
-                )]
+                ));
             }
             TcpState::SynReceived => {
                 self.last_progress = now;
                 self.retransmits += 1;
-                vec![self.emit(
+                out.push(self.emit(
                     TcpFlags {
                         syn: true,
                         ack: true,
@@ -427,19 +440,19 @@ impl TcpEndpoint {
                     0,
                     0,
                     None,
-                )]
+                ));
             }
             TcpState::Established | TcpState::Closing => {
                 if self.snd_una >= self.snd_next {
-                    return Vec::new();
+                    return;
                 }
                 self.last_progress = now;
                 self.snd_next = self.snd_una;
-                let pkts = self.pump_send();
-                self.retransmits += pkts.len() as u64;
-                pkts
+                let before = out.len();
+                self.pump_send(out);
+                self.retransmits += (out.len() - before) as u64;
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -447,12 +460,11 @@ impl TcpEndpoint {
         self.snd_una >= self.snd_total && self.snd_next >= self.snd_total
     }
 
-    /// Emits as many data segments as the window allows; appends FIN when
-    /// everything has been sent.
-    fn pump_send(&mut self) -> Vec<Packet> {
-        let mut out = Vec::new();
+    /// Appends as many data segments as the window allows to `out`, then a
+    /// FIN when everything has been sent.
+    fn pump_send(&mut self, out: &mut Vec<Packet>) {
         if self.state != TcpState::Established && self.state != TcpState::Closing {
-            return out;
+            return;
         }
         let window_bytes = u64::from(self.cfg.window) * u64::from(self.cfg.mss);
         while self.snd_next < self.snd_total && self.snd_next - self.snd_una < window_bytes {
@@ -495,7 +507,6 @@ impl TcpEndpoint {
                 None,
             ));
         }
-        out
     }
 
     fn emit(&mut self, flags: TcpFlags, len: u32, ack: u64, app: Option<AppData>) -> Packet {
@@ -530,6 +541,27 @@ mod tests {
         }
     }
 
+    /// `on_segment` into a fresh buffer.
+    fn segment(ep: &mut TcpEndpoint, p: &Packet, now: SimTime) -> TcpOutput {
+        let mut out = TcpOutput::default();
+        ep.on_segment(seg(p), now, &mut out);
+        out
+    }
+
+    /// `send_stream` into a fresh buffer.
+    fn send(ep: &mut TcpEndpoint, bytes: u64, app: Option<AppData>, fin: bool) -> Vec<Packet> {
+        let mut out = Vec::new();
+        ep.send_stream(bytes, app, fin, &mut out);
+        out
+    }
+
+    /// `on_tick` into a fresh buffer.
+    fn tick(ep: &mut TcpEndpoint, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        ep.on_tick(now, &mut out);
+        out
+    }
+
     /// Runs both endpoints to quiescence with zero network delay, returning
     /// all events seen by each. Deterministic FIFO exchange.
     fn drain(
@@ -542,19 +574,20 @@ mod tests {
         let mut to_b: Vec<Packet> = first;
         let mut to_a: Vec<Packet> = Vec::new();
         let now = SimTime::ZERO;
+        let mut out = TcpOutput::default();
         for _ in 0..10_000 {
             if to_b.is_empty() && to_a.is_empty() {
                 break;
             }
             for p in std::mem::take(&mut to_b) {
-                let out = b.on_segment(seg(&p), now);
-                to_a.extend(out.packets);
-                b_events.extend(out.events);
+                b.on_segment(seg(&p), now, &mut out);
+                to_a.append(&mut out.packets);
+                b_events.append(&mut out.events);
             }
             for p in std::mem::take(&mut to_a) {
-                let out = a.on_segment(seg(&p), now);
-                to_b.extend(out.packets);
-                a_events.extend(out.events);
+                a.on_segment(seg(&p), now, &mut out);
+                to_b.append(&mut out.packets);
+                a_events.append(&mut out.events);
             }
         }
         (a_events, b_events)
@@ -589,14 +622,14 @@ mod tests {
             a: 7,
             b: 100_000,
         };
-        let pkts = c.send_stream(200, Some(req), false);
+        let pkts = send(&mut c, 200, Some(req), false);
         assert_eq!(pkts.len(), 1);
         let (ce, se) = drain(&mut c, &mut s, pkts);
         assert!(se.contains(&TcpEvent::Request(req)), "{se:?}");
         assert!(ce.iter().any(|e| matches!(e, TcpEvent::SendComplete)));
 
         // Server responds with 10 KB + FIN.
-        let pkts = s.send_stream(10_000, None, true);
+        let pkts = send(&mut s, 10_000, None, true);
         assert!(!pkts.is_empty());
         let (se2, ce2) = drain(&mut s, &mut c, pkts);
         assert!(
@@ -611,16 +644,75 @@ mod tests {
         let (mut c, mut s) = connected_pair();
         let total: u64 = 20 * 1448;
         let before = c.sent_segments();
-        let pkts = s.send_stream(total, None, false);
+        let pkts = send(&mut s, total, None, false);
         drain(&mut s, &mut c, pkts);
         // Client sent one ACK per data segment (20 data segments).
         assert_eq!(c.sent_segments() - before, 20);
     }
 
     #[test]
+    fn outputs_append_to_the_callers_buffers() {
+        let (mut c, mut s) = connected_pair();
+        let req = AppData {
+            kind: 1,
+            a: 7,
+            b: 9,
+        };
+        // Whatever the caller already holds stays in front, untouched.
+        let mut sent = send(&mut s, 1448, None, false);
+        s.send_stream(1448, None, false, &mut sent);
+        assert_eq!(sent.len(), 2);
+        assert_eq!(seg(&sent[1]).seq, 1448);
+        let mut out = TcpOutput {
+            packets: vec![sent[0].clone()],
+            events: vec![TcpEvent::Request(req)],
+        };
+        c.on_segment(seg(&sent[0]), SimTime::ZERO, &mut out);
+        assert_eq!(out.packets.len(), 2, "the ACK follows the held packet");
+        assert_eq!(out.packets[0], sent[0]);
+        assert_eq!(
+            out.events,
+            vec![
+                TcpEvent::Request(req),
+                TcpEvent::Delivered {
+                    new_bytes: 1448,
+                    total: 1448
+                }
+            ]
+        );
+    }
+
+    #[test]
+    fn request_follows_its_delivery_event() {
+        // The reassembled bytes are reported before the requests they
+        // carried, also when the buffer already holds events.
+        let (mut c, mut s) = connected_pair();
+        let req = AppData {
+            kind: 1,
+            a: 3,
+            b: 5,
+        };
+        let pkts = send(&mut c, 200, Some(req), false);
+        let mut out = TcpOutput::default();
+        out.events.push(TcpEvent::SendComplete);
+        s.on_segment(seg(&pkts[0]), SimTime::ZERO, &mut out);
+        assert_eq!(
+            out.events,
+            vec![
+                TcpEvent::SendComplete,
+                TcpEvent::Delivered {
+                    new_bytes: 200,
+                    total: 200
+                },
+                TcpEvent::Request(req),
+            ]
+        );
+    }
+
+    #[test]
     fn window_limits_in_flight() {
         let (_c, mut s) = connected_pair();
-        let pkts = s.send_stream(100 * 1448, None, false);
+        let pkts = send(&mut s, 100 * 1448, None, false);
         assert_eq!(pkts.len(), 8, "initial burst = window");
     }
 
@@ -628,7 +720,7 @@ mod tests {
     fn large_transfer_completes() {
         let (mut c, mut s) = connected_pair();
         let total: u64 = 1_000_000;
-        let pkts = s.send_stream(total, None, true);
+        let pkts = send(&mut s, total, None, true);
         let (_, ce) = drain(&mut s, &mut c, pkts);
         assert!(ce.contains(&TcpEvent::PeerFinished { total }));
         let delivered: u64 = ce
@@ -644,21 +736,21 @@ mod tests {
     #[test]
     fn out_of_order_segments_reassembled() {
         let (mut c, mut s) = connected_pair();
-        let pkts = s.send_stream(3 * 1448, None, false);
+        let pkts = send(&mut s, 3 * 1448, None, false);
         assert_eq!(pkts.len(), 3);
         // Deliver 2, 0, 1.
         let now = SimTime::ZERO;
-        let o2 = c.on_segment(seg(&pkts[2]), now);
+        let o2 = segment(&mut c, &pkts[2], now);
         assert!(o2
             .events
             .iter()
             .all(|e| !matches!(e, TcpEvent::Delivered { .. })));
-        let o0 = c.on_segment(seg(&pkts[0]), now);
+        let o0 = segment(&mut c, &pkts[0], now);
         assert!(o0.events.contains(&TcpEvent::Delivered {
             new_bytes: 1448,
             total: 1448
         }));
-        let o1 = c.on_segment(seg(&pkts[1]), now);
+        let o1 = segment(&mut c, &pkts[1], now);
         assert!(o1.events.contains(&TcpEvent::Delivered {
             new_bytes: 2 * 1448,
             total: 3 * 1448
@@ -668,12 +760,12 @@ mod tests {
     #[test]
     fn rto_retransmits_from_una() {
         let (mut c, mut s) = connected_pair();
-        let pkts = s.send_stream(2 * 1448, None, false);
+        let pkts = send(&mut s, 2 * 1448, None, false);
         assert_eq!(pkts.len(), 2);
         // Both segments lost. Tick before RTO: nothing.
-        assert!(s.on_tick(SimTime::from_millis(100)).is_empty());
+        assert!(tick(&mut s, SimTime::from_millis(100)).is_empty());
         // After RTO: go-back-N resends both.
-        let re = s.on_tick(SimTime::from_millis(300));
+        let re = tick(&mut s, SimTime::from_millis(300));
         assert_eq!(re.len(), 2);
         assert_eq!(s.retransmits(), 2);
         // Delivery then proceeds normally.
@@ -698,14 +790,15 @@ mod tests {
             len: 0,
             app: None,
         };
-        let out = c.on_segment(&bogus, SimTime::ZERO);
+        let mut out = TcpOutput::default();
+        c.on_segment(&bogus, SimTime::ZERO, &mut out);
         assert_eq!(out, TcpOutput::default());
     }
 
     #[test]
     fn fin_without_data() {
         let (mut c, mut s) = connected_pair();
-        let pkts = s.send_stream(0, None, true);
+        let pkts = send(&mut s, 0, None, true);
         assert_eq!(pkts.len(), 1);
         assert!(seg(&pkts[0]).flags.fin);
         let (_, ce) = drain(&mut s, &mut c, pkts);
@@ -717,7 +810,7 @@ mod tests {
     fn send_before_connect_panics() {
         let cfg = TcpConfig::default();
         let mut s = TcpEndpoint::server(cfg, 1, EndpointId(1), EndpointId(2), SimTime::ZERO);
-        s.send_stream(10, None, false);
+        send(&mut s, 10, None, false);
     }
 
     #[test]
@@ -726,10 +819,10 @@ mod tests {
         let (mut c, _lost_syn) =
             TcpEndpoint::client(cfg, 1, EndpointId(1), EndpointId(2), SimTime::ZERO);
         assert!(
-            c.on_tick(SimTime::from_millis(100)).is_empty(),
+            tick(&mut c, SimTime::from_millis(100)).is_empty(),
             "before RTO"
         );
-        let re = c.on_tick(SimTime::from_millis(250));
+        let re = tick(&mut c, SimTime::from_millis(250));
         assert_eq!(re.len(), 1);
         assert!(seg(&re[0]).flags.syn && !seg(&re[0]).flags.ack);
         assert_eq!(c.retransmits(), 1);
@@ -746,16 +839,16 @@ mod tests {
         let (mut c, syn) = TcpEndpoint::client(cfg, 1, EndpointId(1), EndpointId(2), SimTime::ZERO);
         let mut s = TcpEndpoint::server(cfg, 1, EndpointId(2), EndpointId(1), SimTime::ZERO);
         // SYN arrives; the SYN-ACK is lost.
-        let out = s.on_segment(seg(&syn), SimTime::ZERO);
+        let out = segment(&mut s, &syn, SimTime::ZERO);
         assert_eq!(out.packets.len(), 1, "SYN-ACK emitted (and dropped)");
         assert_eq!(s.state(), TcpState::SynReceived);
         // Client RTO re-sends its SYN; server answers with a fresh SYN-ACK.
-        let re_syn = c.on_tick(SimTime::from_millis(250));
+        let re_syn = tick(&mut c, SimTime::from_millis(250));
         assert_eq!(re_syn.len(), 1);
-        let out2 = s.on_segment(seg(&re_syn[0]), SimTime::from_millis(250));
+        let out2 = segment(&mut s, &re_syn[0], SimTime::from_millis(250));
         assert_eq!(out2.packets.len(), 1);
         assert!(seg(&out2.packets[0]).flags.syn && seg(&out2.packets[0]).flags.ack);
-        let out3 = c.on_segment(seg(&out2.packets[0]), SimTime::from_millis(251));
+        let out3 = segment(&mut c, &out2.packets[0], SimTime::from_millis(251));
         assert!(out3.events.contains(&TcpEvent::Connected));
     }
 
@@ -764,18 +857,18 @@ mod tests {
         let cfg = TcpConfig::default();
         let (mut c, syn) = TcpEndpoint::client(cfg, 1, EndpointId(1), EndpointId(2), SimTime::ZERO);
         let mut s = TcpEndpoint::server(cfg, 1, EndpointId(2), EndpointId(1), SimTime::ZERO);
-        let synack = s.on_segment(seg(&syn), SimTime::ZERO).packets;
+        let synack = segment(&mut s, &syn, SimTime::ZERO).packets;
         // Client becomes Established; its handshake ACK is lost.
-        let _lost_ack = c.on_segment(seg(&synack[0]), SimTime::ZERO);
+        let _lost_ack = segment(&mut c, &synack[0], SimTime::ZERO);
         assert_eq!(c.state(), TcpState::Established);
         assert_eq!(s.state(), TcpState::SynReceived);
         // Server RTO re-sends the SYN-ACK; the client answers with a fresh
         // ACK, completing the server side.
-        let re = s.on_tick(SimTime::from_millis(250));
+        let re = tick(&mut s, SimTime::from_millis(250));
         assert_eq!(re.len(), 1);
-        let ack = c.on_segment(seg(&re[0]), SimTime::from_millis(251)).packets;
+        let ack = segment(&mut c, &re[0], SimTime::from_millis(251)).packets;
         assert_eq!(ack.len(), 1);
-        let out = s.on_segment(seg(&ack[0]), SimTime::from_millis(252));
+        let out = segment(&mut s, &ack[0], SimTime::from_millis(252));
         assert!(out.events.contains(&TcpEvent::Connected));
     }
 }

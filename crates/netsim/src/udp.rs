@@ -34,16 +34,17 @@ impl UdpFileServer {
         }
     }
 
-    /// Handles one inbound datagram; returns packets to send.
+    /// Handles one inbound datagram; appends the packets to send to the
+    /// caller-owned `out`.
     ///
     /// A `Request(app)` with `app.b` = file size in bytes triggers a full
     /// stream; a `Nak` triggers retransmission of the named chunks.
-    pub fn on_datagram(&mut self, from: EndpointId, seg: &UdpSegment) -> Vec<Packet> {
+    pub fn on_datagram(&mut self, from: EndpointId, seg: &UdpSegment, out: &mut Vec<Packet>) {
         match &seg.kind {
             UdpKind::Request(app) => {
                 let total_bytes = app.b;
                 let chunks = total_bytes.div_ceil(u64::from(UDP_CHUNK)).max(1);
-                let mut out = Vec::with_capacity(chunks as usize + 1);
+                out.reserve(chunks as usize + 1);
                 for i in 0..chunks {
                     let len = if i == chunks - 1 {
                         (total_bytes - i * u64::from(UDP_CHUNK)) as u32
@@ -65,16 +66,16 @@ impl UdpFileServer {
                     }),
                 ));
                 self.sent_chunks += chunks;
-                out
             }
             UdpKind::Nak(missing) => {
                 self.retransmits += missing.len() as u64;
-                missing
-                    .iter()
-                    .map(|&i| self.data(from, seg.stream, i, UDP_CHUNK))
-                    .collect()
+                out.extend(
+                    missing
+                        .iter()
+                        .map(|&i| self.data(from, seg.stream, i, UDP_CHUNK)),
+                );
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
@@ -167,14 +168,16 @@ impl UdpFileClient {
         )
     }
 
-    /// Consumes one datagram; returns packets to send and events.
+    /// Consumes one datagram; appends the packets to send to the
+    /// caller-owned `out` and returns the event it completes, if any.
     pub fn on_datagram(
         &mut self,
         seg: &UdpSegment,
         now: SimTime,
-    ) -> (Vec<Packet>, Vec<UdpClientEvent>) {
+        out: &mut Vec<Packet>,
+    ) -> Option<UdpClientEvent> {
         if seg.stream != self.stream || self.complete {
-            return (Vec::new(), Vec::new());
+            return None;
         }
         self.last_activity = now;
         match &seg.kind {
@@ -189,43 +192,42 @@ impl UdpFileClient {
         if let Some(total) = self.total {
             if self.received.len() as u64 >= total {
                 self.complete = true;
-                return (
-                    Vec::new(),
-                    vec![UdpClientEvent::Complete {
-                        total_chunks: total,
-                    }],
-                );
+                return Some(UdpClientEvent::Complete {
+                    total_chunks: total,
+                });
             }
             // Fin seen but gaps remain: NAK immediately (fast recovery).
             if matches!(seg.kind, UdpKind::Fin { .. }) {
-                return (self.nak_packets(total), Vec::new());
+                self.nak_packets(total, out);
             }
         }
-        (Vec::new(), Vec::new())
+        None
     }
 
-    /// Timer tick: re-request on silence, re-NAK open gaps.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Packet> {
+    /// Timer tick: re-request on silence, re-NAK open gaps. Appends the
+    /// packets to send to `out`.
+    pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         if self.complete || now.saturating_duration_since(self.last_activity) < self.nak_interval {
-            return Vec::new();
+            return;
         }
         self.last_activity = now;
         match self.total {
             // No FIN yet: whether nothing or only part of the stream
             // arrived, silence means loss — re-issue the (idempotent)
             // request; duplicates are deduplicated by chunk seq.
-            None => vec![self.request_packet()],
-            Some(total) => self.nak_packets(total),
+            None => out.push(self.request_packet()),
+            Some(total) => self.nak_packets(total, out),
         }
     }
 
-    fn nak_packets(&mut self, total: u64) -> Vec<Packet> {
+    /// Appends a NAK listing every missing chunk, if any is missing.
+    fn nak_packets(&mut self, total: u64, out: &mut Vec<Packet>) {
         let missing: Vec<u64> = (0..total).filter(|i| !self.received.contains(i)).collect();
         if missing.is_empty() {
-            return Vec::new();
+            return;
         }
         self.naks_sent += 1;
-        vec![Packet::new(
+        out.push(Packet::new(
             self.local,
             self.server,
             Body::Udp(UdpSegment {
@@ -234,7 +236,7 @@ impl UdpFileClient {
                 len: 8 * missing.len() as u32 + 16,
                 kind: UdpKind::Nak(missing),
             }),
-        )]
+        ));
     }
 
     /// `true` once every chunk has arrived.
@@ -259,6 +261,13 @@ mod tests {
         }
     }
 
+    /// The server's answer to `p`, in a fresh buffer.
+    fn serve(server: &mut UdpFileServer, p: &Packet) -> Vec<Packet> {
+        let mut out = Vec::new();
+        server.on_datagram(EndpointId(2), useg(p), &mut out);
+        out
+    }
+
     #[test]
     fn lossless_transfer_completes_with_one_inbound_packet() {
         let now = SimTime::ZERO;
@@ -276,15 +285,13 @@ mod tests {
             now,
             SimDuration::from_millis(50),
         );
-        let stream = server.on_datagram(EndpointId(2), useg(&reqp));
+        let stream = serve(&mut server, &reqp);
         // ceil(10000/1448) = 7 chunks + FIN.
         assert_eq!(stream.len(), 8);
         let mut events = Vec::new();
         let mut outgoing = Vec::new();
         for p in &stream {
-            let (pk, ev) = client.on_datagram(useg(p), now);
-            outgoing.extend(pk);
-            events.extend(ev);
+            events.extend(client.on_datagram(useg(p), now, &mut outgoing));
         }
         assert!(client.is_complete());
         assert_eq!(events, vec![UdpClientEvent::Complete { total_chunks: 7 }]);
@@ -309,26 +316,24 @@ mod tests {
             now,
             SimDuration::from_millis(50),
         );
-        let mut stream = server.on_datagram(EndpointId(2), useg(&reqp));
+        let mut stream = serve(&mut server, &reqp);
         // Drop chunks 1 and 3.
         stream.retain(|p| !matches!(useg(p).kind, UdpKind::Data) || ![1, 3].contains(&useg(p).seq));
         let mut naks = Vec::new();
         for p in &stream {
-            let (pk, _) = client.on_datagram(useg(p), now);
-            naks.extend(pk);
+            client.on_datagram(useg(p), now, &mut naks);
         }
         assert_eq!(naks.len(), 1, "one NAK listing both gaps");
         assert!(matches!(
             &useg(&naks[0]).kind,
             UdpKind::Nak(missing) if missing == &vec![1, 3]
         ));
-        let retx = server.on_datagram(EndpointId(2), useg(&naks[0]));
+        let retx = serve(&mut server, &naks[0]);
         assert_eq!(retx.len(), 2);
         assert_eq!(server.retransmits(), 2);
         let mut done = Vec::new();
         for p in &retx {
-            let (_, ev) = client.on_datagram(useg(p), now);
-            done.extend(ev);
+            done.extend(client.on_datagram(useg(p), now, &mut Vec::new()));
         }
         assert_eq!(done.len(), 1);
         assert!(client.is_complete());
@@ -350,8 +355,10 @@ mod tests {
             now,
             SimDuration::from_millis(50),
         );
-        assert!(client.on_tick(SimTime::from_millis(10)).is_empty());
-        let retry = client.on_tick(SimTime::from_millis(60));
+        let mut retry = Vec::new();
+        client.on_tick(SimTime::from_millis(10), &mut retry);
+        assert!(retry.is_empty());
+        client.on_tick(SimTime::from_millis(60), &mut retry);
         assert_eq!(retry.len(), 1);
         assert!(matches!(useg(&retry[0]).kind, UdpKind::Request(_)));
     }
@@ -376,18 +383,18 @@ mod tests {
             now,
             SimDuration::from_millis(50),
         );
-        let stream = server.on_datagram(EndpointId(2), useg(&reqp));
+        let stream = serve(&mut server, &reqp);
         for p in stream
             .iter()
             .filter(|p| matches!(useg(p).kind, UdpKind::Data))
         {
-            client.on_datagram(useg(p), now);
+            client.on_datagram(useg(p), now, &mut Vec::new());
         }
         assert!(!client.is_complete());
         // Late FIN arrives.
         let fin = stream.last().unwrap();
-        let (_, ev) = client.on_datagram(useg(fin), SimTime::from_millis(80));
-        assert_eq!(ev.len(), 1);
+        let ev = client.on_datagram(useg(fin), SimTime::from_millis(80), &mut Vec::new());
+        assert!(ev.is_some());
     }
 
     #[test]
@@ -406,10 +413,10 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_millis(50),
         );
-        let stream = server.on_datagram(EndpointId(2), useg(&reqp));
+        let stream = serve(&mut server, &reqp);
         assert_eq!(stream.len(), 2); // 1 chunk + FIN
         for p in &stream {
-            client.on_datagram(useg(p), SimTime::ZERO);
+            client.on_datagram(useg(p), SimTime::ZERO, &mut Vec::new());
         }
         assert!(client.is_complete());
     }

@@ -42,13 +42,17 @@ use vmm::speed::SpeedProfile;
 /// An external (unreplicated) client machine's application logic.
 ///
 /// Clients see *real* time — they model the outside observer of Sec. VI.
+/// Each callback appends the packets it sends to `out`, a buffer the cloud
+/// owns and reuses across callbacks, so answering a packet allocates
+/// nothing of its own.
 pub trait ClientApp {
-    /// Called once at client start; returns packets to send.
-    fn on_start(&mut self, now: SimTime) -> Vec<Packet>;
-    /// Called for each received packet; returns packets to send.
-    fn on_packet(&mut self, packet: &Packet, now: SimTime) -> Vec<Packet>;
-    /// Called periodically (protocol timers); returns packets to send.
-    fn on_tick(&mut self, now: SimTime) -> Vec<Packet>;
+    /// Called once at client start; appends packets to send to `out`.
+    fn on_start(&mut self, now: SimTime, out: &mut Vec<Packet>);
+    /// Called for each received packet; appends packets to send to `out`.
+    fn on_packet(&mut self, packet: &Packet, now: SimTime, out: &mut Vec<Packet>);
+    /// Called periodically (protocol timers); appends packets to send to
+    /// `out`.
+    fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>);
     /// `true` when this client's workload is finished.
     fn is_done(&self) -> bool;
     /// Downcast support for extracting measurements after a run.
@@ -319,9 +323,12 @@ pub struct Cloud {
     clients: Vec<ClientRecord>,
     client_by_endpoint: FxHashMap<EndpointId, usize>,
     ingress_seq: u64,
-    /// Pending wake per slot: the event and the time it fires at (kept so
-    /// a reschedule to the same time can keep the pending event).
-    wakes: FxHashMap<(usize, usize), (EventId, SimTime)>,
+    /// Slot ordinal of each host's first slot: slot `(h, s)` is ordinal
+    /// `slot_base[h] + s`.
+    slot_base: Vec<usize>,
+    /// Pending wake per slot ordinal: the event and the time it fires at
+    /// (kept so a reschedule to the same time can keep the pending event).
+    wakes: Vec<Option<(EventId, SimTime)>>,
     /// Pending virtual-timer hardware events: `(host, slot, fire_seq)` →
     /// (event, scheduled time, programmed deadline). Tracked so activity
     /// changes can re-target the physical fire time at the deadline's
@@ -343,6 +350,8 @@ pub struct Cloud {
     // Scratch buffers reused across events.
     /// Slot outputs of the slot being run.
     outputs: Vec<SlotOutput>,
+    /// Packets the client being called back sends.
+    client_out: Vec<Packet>,
     /// The PGM receiver's output for the packet being received.
     rx_out: RxOutput<ProposalMsg>,
     /// Virtual-timer fires being re-targeted by the pacing tick.
@@ -445,7 +454,8 @@ impl Cloud {
     fn reschedule_wake(&mut self, sim: &mut Sim<Cloud>, h: usize, s: usize) {
         let now = sim.now();
         let target = self.hosts[h].next_wake(s, now);
-        if let Some(&(_, at)) = self.wakes.get(&(h, s)) {
+        let wake = &mut self.wakes[self.slot_base[h] + s];
+        if let Some((old, at)) = *wake {
             // The pending wake already fires at the right time: keep it
             // instead of churning a cancel tombstone plus a fresh event
             // through the engine (the common case when new input does not
@@ -453,11 +463,9 @@ impl Cloud {
             if target == Some(at) {
                 return;
             }
-        }
-        if let Some((old, _)) = self.wakes.remove(&(h, s)) {
             sim.cancel(old);
         }
-        if let Some(t) = target {
+        *wake = target.map(|t| {
             let id = sim.schedule(
                 t,
                 CloudEvent::Wake {
@@ -465,8 +473,8 @@ impl Cloud {
                     s: ix16(s),
                 },
             );
-            self.wakes.insert((h, s), (id, t));
-        }
+            (id, t)
+        });
     }
 
     /// Runs slot `(h, s)` at `now` — its boot when `boot`, else whatever
@@ -676,7 +684,11 @@ impl Cloud {
         let (out_seq, packet) = self.numbered.take(copy);
         let guest_ep = self.vms[vm_idx].endpoint;
         let host_node = self.hosts[h].id();
-        match self.egress.on_copy(guest_ep, out_seq, host_node, packet) {
+        let replicas = self.vms[vm_idx].replicas.len();
+        match self
+            .egress
+            .on_copy(guest_ep, out_seq, host_node, packet, replicas)
+        {
             EgressDecision::Forward(pkt) => {
                 self.stats.incr("egress_forwarded");
                 let from = self.egress_node;
@@ -724,12 +736,27 @@ impl Cloud {
     /// Client `ci` receives a packet and answers with whatever it sends.
     fn client_receive(&mut self, sim: &mut Sim<Cloud>, ci: usize, packet: u32) {
         let packet = self.packets.take(packet);
-        let out = self.clients[ci].app.on_packet(&packet, sim.now());
-        self.client_send(sim, ci, out);
+        let now = sim.now();
+        self.client_call(sim, ci, |app, out| app.on_packet(&packet, now, out));
     }
 
-    fn client_send(&mut self, sim: &mut Sim<Cloud>, ci: usize, pkts: Vec<Packet>) {
-        for pkt in pkts {
+    /// Runs one callback of client `ci` on the reused output buffer, then
+    /// sends what it queued.
+    fn client_call(
+        &mut self,
+        sim: &mut Sim<Cloud>,
+        ci: usize,
+        call: impl FnOnce(&mut dyn ClientApp, &mut Vec<Packet>),
+    ) {
+        let mut out = std::mem::take(&mut self.client_out);
+        call(&mut *self.clients[ci].app, &mut out);
+        self.client_send(sim, ci, &mut out);
+        self.client_out = out;
+    }
+
+    /// Sends (and drains) the packets client `ci` queued in `pkts`.
+    fn client_send(&mut self, sim: &mut Sim<Cloud>, ci: usize, pkts: &mut Vec<Packet>) {
+        for pkt in pkts.drain(..) {
             let node = self.clients[ci].node;
             if self.by_endpoint.contains_key(&pkt.dst()) {
                 // To a guest: via the ingress node.
@@ -1049,8 +1076,8 @@ impl Cloud {
     }
 
     fn client_start(&mut self, sim: &mut Sim<Cloud>, ci: usize) {
-        let out = self.clients[ci].app.on_start(sim.now());
-        self.client_send(sim, ci, out);
+        let now = sim.now();
+        self.client_call(sim, ci, |app, out| app.on_start(now, out));
         self.client_tick(sim, ci);
     }
 
@@ -1059,8 +1086,7 @@ impl Cloud {
             return;
         }
         let now = sim.now();
-        let out = self.clients[ci].app.on_tick(now);
-        self.client_send(sim, ci, out);
+        self.client_call(sim, ci, |app, out| app.on_tick(now, out));
         sim.schedule_in(
             self.cfg.client_tick,
             CloudEvent::ClientTick { ci: ix32(ci) },
@@ -1093,7 +1119,7 @@ impl World for Cloud {
             CloudEvent::Boot { h, s } => self.run_slot(sim, h.into(), s.into(), true),
             CloudEvent::Wake { h, s } => {
                 let (h, s) = (h.into(), s.into());
-                self.wakes.remove(&(h, s));
+                self.wakes[self.slot_base[h] + s] = None;
                 self.run_slot(sim, h, s, false);
             }
             CloudEvent::DiskDone { h, s, op_id } => self.disk_done(sim, h.into(), s.into(), op_id),
@@ -1394,6 +1420,12 @@ impl CloudBuilder {
                 SimRng::new(cfg.seed).stream("broadcast"),
             )
         });
+        let mut slot_base = Vec::with_capacity(hosts.len());
+        let mut slots = 0;
+        for host in &hosts {
+            slot_base.push(slots);
+            slots += host.slot_count();
+        }
         let cloud = Cloud {
             cfg,
             hosts,
@@ -1407,7 +1439,8 @@ impl CloudBuilder {
             clients,
             client_by_endpoint,
             ingress_seq: 0,
-            wakes: FxHashMap::default(),
+            slot_base,
+            wakes: vec![None; slots],
             timer_fires: FxHashMap::default(),
             pgm_tx: FxHashMap::default(),
             pgm_rx: FxHashMap::default(),
@@ -1417,6 +1450,7 @@ impl CloudBuilder {
             pgm: Slab::default(),
             naks: Slab::default(),
             outputs: Vec::new(),
+            client_out: Vec::new(),
             rx_out: RxOutput::default(),
             retarget: Vec::new(),
             broadcast_source,
@@ -1558,17 +1592,16 @@ mod tests {
         me: EndpointId,
     }
     impl ClientApp for Pinger {
-        fn on_start(&mut self, _now: SimTime) -> Vec<Packet> {
-            self.next_ping()
+        fn on_start(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
+            self.next_ping(out);
         }
-        fn on_packet(&mut self, packet: &Packet, now: SimTime) -> Vec<Packet> {
+        fn on_packet(&mut self, packet: &Packet, now: SimTime, _out: &mut Vec<Packet>) {
             if let Body::Raw { tag, .. } = *packet.body() {
                 self.replies.push((now, tag));
             }
-            Vec::new()
         }
-        fn on_tick(&mut self, _now: SimTime) -> Vec<Packet> {
-            self.next_ping()
+        fn on_tick(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
+            self.next_ping(out);
         }
         fn is_done(&self) -> bool {
             self.replies.len() as u32 >= self.to_send
@@ -1578,17 +1611,17 @@ mod tests {
         }
     }
     impl Pinger {
-        fn next_ping(&mut self) -> Vec<Packet> {
+        fn next_ping(&mut self, out: &mut Vec<Packet>) {
             if self.sent >= self.to_send {
-                return Vec::new();
+                return;
             }
             let tag = u64::from(self.sent) * 10;
             self.sent += 1;
-            vec![Packet::new(
+            out.push(Packet::new(
                 self.me,
                 self.server,
                 Body::Raw { tag, len: 100 },
-            )]
+            ));
         }
     }
 

@@ -169,6 +169,14 @@ impl<'a> GuestEnv<'a> {
         self.actions.push(GuestAction::Send { dst, body });
     }
 
+    /// Queues a send of every packet in `packets` (a transport's output
+    /// buffer), in order, leaving the buffer empty for reuse.
+    pub fn send_all(&mut self, packets: &mut Vec<Packet>) {
+        for pkt in packets.drain(..) {
+            self.send(pkt.dst(), pkt.into_body());
+        }
+    }
+
     /// Queues a continuation: [`GuestProgram::on_call`] fires with `token`
     /// after all previously queued actions have executed.
     pub fn call_after(&mut self, token: u64) {

@@ -31,6 +31,7 @@ use crate::channel::ChannelKind;
 use netsim::packet::Packet;
 use simkit::fxhash::FxHashMap;
 use simkit::time::{VirtNanos, VirtOffset};
+use std::cell::Cell;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
 
@@ -84,6 +85,10 @@ pub(crate) type InjectionKey = (u64, VirtNanos, u8, u64, Option<ChannelKind>);
 /// Dense row handle into the table (stable until the row is removed).
 pub(crate) type Row = u32;
 
+/// Rows the table is sized for on first use: more than the in-flight
+/// depth of the paper's workloads, so a typical run never regrows it.
+const INITIAL_ROWS: usize = 32;
+
 /// The struct-of-arrays pending table of one guest slot.
 #[derive(Debug, Default)]
 pub(crate) struct PendingTable {
@@ -118,6 +123,9 @@ pub(crate) struct PendingTable {
     hold_virt: Vec<VirtNanos>,
     /// Number of `holding` rows, so the no-hold case skips the scan.
     held: usize,
+    /// [`PendingTable::min_due`]'s answer, `None` when stale: cleared by
+    /// every change to a row's key, delivery or readiness.
+    min_due: Cell<Option<Option<InjectionKey>>>,
 }
 
 impl PendingTable {
@@ -125,30 +133,29 @@ impl PendingTable {
         self.live
     }
 
-    /// Live `(kind, seq, needed, proposals so far)` rows — test/debug aid.
-    #[cfg(test)]
-    pub fn snapshot(&self) -> Vec<(ChannelKind, u64, usize, usize)> {
-        let mut rows: Vec<_> = self
-            .index
-            .values()
-            .map(|&r| {
-                let (kind, seq) = self.keys[r as usize];
-                (
-                    kind,
-                    seq,
-                    self.needed[r as usize] as usize,
-                    self.prop_len[r as usize] as usize,
-                )
-            })
-            .collect();
-        rows.sort_unstable_by_key(|&(kind, seq, ..)| (kind, seq));
-        rows
+    /// Sizes every column (and the index and free list) for `rows` rows
+    /// at once, so the table does not regrow each of its ten columns one
+    /// doubling at a time.
+    fn reserve(&mut self, rows: usize) {
+        self.index.reserve(rows);
+        self.free.reserve(rows);
+        self.keys.reserve(rows);
+        self.deliver.reserve(rows);
+        self.inj_branch.reserve(rows);
+        self.ready.reserve(rows);
+        self.needed.reserve(rows);
+        self.prop_len.reserve(rows);
+        self.props.reserve(rows * self.stride);
+        self.payload.reserve(rows);
+        self.holding.reserve(rows);
+        self.hold_virt.reserve(rows);
     }
 
     fn acquire(&mut self, kind: ChannelKind, seq: u64, needed: usize) -> Row {
         debug_assert!(needed >= 1);
         if self.stride == 0 {
             self.stride = needed;
+            self.reserve(INITIAL_ROWS);
         }
         debug_assert!(
             needed <= self.stride,
@@ -173,6 +180,7 @@ impl PendingTable {
             }
         };
         let r = row as usize;
+        self.min_due.set(None);
         self.keys[r] = (kind, seq);
         self.deliver[r] = None;
         self.ready[r] = false;
@@ -193,6 +201,7 @@ impl PendingTable {
         needed: usize,
     ) -> Row {
         let row = self.acquire(kind, seq, needed);
+        self.min_due.set(None);
         self.ready[row as usize] = payload.ready();
         self.payload[row as usize] = Some(payload);
         row
@@ -211,6 +220,7 @@ impl PendingTable {
     ) -> Row {
         let row = self.acquire(kind, seq, 1);
         let r = row as usize;
+        self.min_due.set(None);
         self.ready[r] = payload.ready();
         self.payload[r] = Some(payload);
         self.deliver[r] = Some(deliver);
@@ -230,6 +240,7 @@ impl PendingTable {
     ) -> Option<(ChannelPayload, Option<VirtNanos>)> {
         let row = self.index.remove(&(kind.id(), seq))?;
         self.release_hold(row);
+        self.min_due.set(None);
         let r = row as usize;
         let payload = self.payload[r].take().expect("live row has a payload");
         let deliver = self.deliver[r].take();
@@ -247,6 +258,7 @@ impl PendingTable {
     /// Fixes the delivery time and caches its injection branch.
     pub fn set_deliver(&mut self, row: Row, deliver: VirtNanos, inj_branch: u64) {
         self.release_hold(row);
+        self.min_due.set(None);
         let r = row as usize;
         debug_assert!(self.deliver[r].is_none(), "delivery fixed twice");
         self.deliver[r] = Some(deliver);
@@ -255,6 +267,7 @@ impl PendingTable {
 
     /// Marks the payload's data as present (disk transfer finished).
     pub fn set_ready(&mut self, row: Row) {
+        self.min_due.set(None);
         self.ready[row as usize] = true;
     }
 
@@ -338,6 +351,27 @@ impl PendingTable {
             .min()
     }
 
+    /// The smallest injection key — `(branch, delivery, rank, id, kind)`,
+    /// the order `GuestSlot` injects in — over every injectable row, or
+    /// `None` when no row is injectable. The slot asks for it several
+    /// times per run (each injection scan, each wake projection) while
+    /// the rows rarely change in between, so the answer is cached until
+    /// the next change to a row's key, delivery or readiness.
+    pub fn min_due(&self) -> Option<InjectionKey> {
+        if let Some(key) = self.min_due.get() {
+            return key;
+        }
+        let mut best: Option<InjectionKey> = None;
+        self.for_each_due(|branch, deliver, kind, id| {
+            let cand = (branch, deliver, kind.injection_rank(), id, Some(kind));
+            if best.is_none_or(|b| cand < b) {
+                best = Some(cand);
+            }
+        });
+        self.min_due.set(Some(best));
+        best
+    }
+
     /// Visits every injectable row: fixed delivery, data ready. Passes
     /// `(cached injection branch, delivery virt, kind, id)`.
     #[inline]
@@ -419,5 +453,49 @@ mod tests {
         t.set_ready(row);
         t.for_each_due(|_, _, _, _| n += 1);
         assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn min_due_follows_every_row_change() {
+        let mut t = PendingTable::default();
+        assert_eq!(t.min_due(), None);
+        let a = t.insert_agreeing(ChannelKind::Net, 1, payload(), 3);
+        let b = t.insert_agreeing(ChannelKind::Net, 2, payload(), 3);
+        assert_eq!(t.min_due(), None, "nothing fixed yet");
+        t.set_deliver(b, VirtNanos::from_nanos(50), 500);
+        let key_b = (
+            500,
+            VirtNanos::from_nanos(50),
+            ChannelKind::Net.injection_rank(),
+            2,
+            Some(ChannelKind::Net),
+        );
+        assert_eq!(t.min_due(), Some(key_b));
+        t.set_deliver(a, VirtNanos::from_nanos(40), 400);
+        assert_eq!(
+            t.min_due().map(|k| k.3),
+            Some(1),
+            "an earlier fix takes over"
+        );
+        t.remove(ChannelKind::Net, 1);
+        assert_eq!(t.min_due(), Some(key_b));
+        let disk = t.insert_local(
+            ChannelKind::Disk,
+            0,
+            ChannelPayload::Disk {
+                op: DiskOp::Read,
+                range: BlockRange::new(0, 1),
+                issue_virt: VirtNanos::ZERO,
+                data: None,
+            },
+            VirtNanos::from_nanos(10),
+            100,
+        );
+        assert_eq!(t.min_due(), Some(key_b), "unready rows never count");
+        t.set_ready(disk);
+        assert_eq!(t.min_due().map(|k| k.4), Some(Some(ChannelKind::Disk)));
+        t.remove(ChannelKind::Disk, 0);
+        t.remove(ChannelKind::Net, 2);
+        assert_eq!(t.min_due(), None);
     }
 }

@@ -46,7 +46,7 @@ use crate::speed::SpeedProfile;
 use netsim::packet::{EndpointId, Packet};
 use simkit::fxhash::FxHashMap;
 use simkit::metrics::Counters;
-use simkit::time::{SimTime, VirtNanos, VirtOffset};
+use simkit::time::{SimDuration, SimTime, VirtNanos, VirtOffset};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use storage::block::{BlockRange, DiskImage};
@@ -564,9 +564,11 @@ impl GuestSlot {
             let (tick, branch) = self.pit_candidate();
             consider((branch, tick, 0, 0, None));
         }
-        self.pending.for_each_due(|branch, deliver, kind, id| {
-            consider((branch, deliver, kind.injection_rank(), id, Some(kind)));
-        });
+        // The smallest pending key is the smallest one due by `phys`, or
+        // none is: every other key orders after it, branch first.
+        if let Some(key) = self.pending.min_due() {
+            consider(key);
+        }
         best
     }
 
@@ -1173,14 +1175,40 @@ impl GuestSlot {
         if target <= phys {
             return start;
         }
-        // Same float-inversion nudge as `next_wake`: land at or past the
-        // target branch so the elapse callback reads virt >= v.
-        let mut t = profile.time_for_branches(start, target - phys);
+        // Land at or past the target branch so the elapse callback reads
+        // virt >= v.
+        self.project(profile, start, target - phys, target)
+    }
+
+    /// The physical instant from `start` on at which this slot's branch
+    /// count first reaches `target`, `remaining` branches after `start`.
+    ///
+    /// [`SpeedProfile::time_for_branches`] inverts a float integration and
+    /// can land a branch or two short, so the projection is nudged
+    /// forward in 2 ns steps (at most 16) until [`Self::branches_at`]
+    /// reaches `target`. When the inversion starts at the slot's sync
+    /// point, `branches_at` inside the inversion's last segment is that
+    /// segment's [`branches_to`](crate::speed::Segment::branches_to) — the
+    /// same float operations in the same order — so a nudge re-evaluates
+    /// the one segment instead of integrating again from the sync point.
+    fn project(
+        &self,
+        profile: &SpeedProfile,
+        start: SimTime,
+        remaining: u64,
+        target: u64,
+    ) -> SimTime {
+        let (mut t, seg) = profile.time_for_branches(start, remaining);
+        let sync = self.synced_at.max(self.resume_at);
         for _ in 0..16 {
-            if self.branches_at(profile, t) >= target {
+            let reached = match seg.branches_to(t) {
+                Some(b) if seg.origin == sync && t > sync => self.branches + b,
+                _ => self.branches_at(profile, t),
+            };
+            if reached >= target {
                 return t;
             }
-            t += simkit::time::SimDuration::from_nanos(2);
+            t += SimDuration::from_nanos(2);
         }
         t
     }
@@ -1400,17 +1428,9 @@ impl GuestSlot {
         if target <= phys {
             return Some(start);
         }
-        // time_for_branches inverts a float integration and can land a
-        // branch or two short; nudge forward until the projection actually
-        // reaches the target so process() at the wake finds the work due.
-        let mut t = profile.time_for_branches(start, target - phys);
-        for _ in 0..16 {
-            if self.branches_at(profile, t) >= target {
-                self.wake_memo.set(Some((key, t.as_nanos())));
-                return Some(t);
-            }
-            t += simkit::time::SimDuration::from_nanos(2);
-        }
+        // Land at or past the target so process() at the wake finds the
+        // work due.
+        let t = self.project(profile, start, target - phys, target);
         self.wake_memo.set(Some((key, t.as_nanos())));
         Some(t)
     }
@@ -2023,8 +2043,8 @@ mod tests {
             })
             .collect();
         assert_eq!(proposals.len(), 2, "one proposal per probe");
-        assert_eq!(proposals[0].1.as_nanos(), u64::from(CacheModel::HIT_NS));
-        assert_eq!(proposals[1].1.as_nanos(), u64::from(CacheModel::MISS_NS));
+        assert_eq!(proposals[0].1.as_nanos(), CacheModel::HIT_NS);
+        assert_eq!(proposals[1].1.as_nanos(), CacheModel::MISS_NS);
         // No delivery until the peers' proposals arrive.
         assert_eq!(slot.next_wake(&p, SimTime::ZERO), None);
         for (probe_id, own) in &proposals {

@@ -12,7 +12,43 @@
 
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+
+/// The last epoch segment a [`SpeedProfile::time_for_branches`] walk
+/// integrated, with everything needed to finish a
+/// [`SpeedProfile::branches_between`] from the walk's origin to any
+/// instant inside it.
+///
+/// For `t` in `[start, end]`, `branches_between(origin, t)` equals
+/// `(prefix + (t - start).as_secs_f64() * rate) as u64`: the prefix is
+/// the sum of the whole-epoch products before `start`, accumulated in the
+/// order `branches_between` adds them, so [`Segment::branches_to`]
+/// performs the same float operations in the same order and returns the
+/// same count, bit for bit, without re-walking the epochs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Segment {
+    /// Where the walk started.
+    pub origin: SimTime,
+    /// Branches integrated over `[origin, start)`, unrounded.
+    pub prefix: f64,
+    /// Start of the segment: `origin` or an epoch boundary.
+    pub start: SimTime,
+    /// End of the segment: the end of `start`'s epoch.
+    pub end: SimTime,
+    /// Branches per second over the segment.
+    pub rate: f64,
+}
+
+impl Segment {
+    /// `branches_between(origin, t)` for `t` inside the segment, `None`
+    /// outside it.
+    pub fn branches_to(&self, t: SimTime) -> Option<u64> {
+        (self.start <= t && t <= self.end).then(|| {
+            let dt = t.duration_since(self.start).as_secs_f64();
+            (self.prefix + dt * self.rate) as u64
+        })
+    }
+}
 
 /// Deterministic branches-per-second profile for one host core.
 #[derive(Debug, Clone)]
@@ -34,6 +70,15 @@ pub struct SpeedProfile {
     /// it only skips the per-query stream derivation on the branch↔time
     /// conversion hot path (every wake computation integrates over epochs).
     jitter_memo: RefCell<Vec<f64>>,
+    /// The two epochs conversion steps last landed in, newest first:
+    /// `(contention bits, start nanos, end nanos, rate)`. A slot's sync
+    /// point and the instants it converts from are ms apart and epochs
+    /// ~10 ms long, so steps mostly land in one of the two and skip the
+    /// index division and the rate lookup. The rate is the float
+    /// [`SpeedProfile::ips_at_epoch`] computes; it depends on nothing
+    /// else that can change, so keying it on the contention value keeps
+    /// it exact (unlike `generation`, which moves on every update).
+    recent_epochs: Cell<[(u64, u64, u64, f64); 2]>,
 }
 
 impl SpeedProfile {
@@ -58,6 +103,7 @@ impl SpeedProfile {
             contention: 0.0,
             generation: 0,
             jitter_memo: RefCell::new(Vec::new()),
+            recent_epochs: Cell::new([(u64::MAX, 0, 0, 0.0); 2]),
         }
     }
 
@@ -115,8 +161,23 @@ impl SpeedProfile {
         self.base_ips * (1.0 - self.contention) * self.jitter_mult(idx)
     }
 
-    fn epoch_index(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.epoch.as_nanos()
+    /// End and rate of the epoch containing `t`.
+    fn epoch_at(&self, t: SimTime) -> (SimTime, f64) {
+        let ns = t.as_nanos();
+        let contention = self.contention.to_bits();
+        let recent = self.recent_epochs.get();
+        for (c, start, end, rate) in recent {
+            if c == contention && start <= ns && ns < end {
+                return (SimTime::from_nanos(end), rate);
+            }
+        }
+        let idx = ns / self.epoch.as_nanos();
+        let start = idx * self.epoch.as_nanos();
+        let end = start + self.epoch.as_nanos();
+        let rate = self.ips_at_epoch(idx);
+        self.recent_epochs
+            .set([(contention, start, end, rate), recent[0]]);
+        (SimTime::from_nanos(end), rate)
     }
 
     /// Branches retired in `[t0, t1)`.
@@ -132,34 +193,49 @@ impl SpeedProfile {
         let mut acc = 0.0;
         let mut cur = t0;
         while cur < t1 {
-            let idx = self.epoch_index(cur);
-            let epoch_end = SimTime::from_nanos((idx + 1) * self.epoch.as_nanos());
+            let (epoch_end, rate) = self.epoch_at(cur);
             let seg_end = epoch_end.min(t1);
             let dt = seg_end.duration_since(cur).as_secs_f64();
-            acc += dt * self.ips_at_epoch(idx);
+            acc += dt * rate;
             cur = seg_end;
         }
         acc as u64
     }
 
     /// Earliest time `t >= t0` by which `branches` more branches have
-    /// retired.
-    pub fn time_for_branches(&self, t0: SimTime, branches: u64) -> SimTime {
+    /// retired, and the epoch segment the walk ended in (see [`Segment`]),
+    /// which lets a caller evaluate `branches_between(t0, t')` near `t`
+    /// without walking again.
+    pub fn time_for_branches(&self, t0: SimTime, branches: u64) -> (SimTime, Segment) {
         if branches == 0 {
-            return t0;
+            let empty = Segment {
+                origin: t0,
+                prefix: 0.0,
+                start: t0,
+                end: t0,
+                rate: 0.0,
+            };
+            return (t0, empty);
         }
         let mut remaining = branches as f64;
+        let mut prefix = 0.0;
         let mut cur = t0;
         loop {
-            let idx = self.epoch_index(cur);
-            let rate = self.ips_at_epoch(idx);
-            let epoch_end = SimTime::from_nanos((idx + 1) * self.epoch.as_nanos());
+            let (epoch_end, rate) = self.epoch_at(cur);
             let span = epoch_end.duration_since(cur).as_secs_f64();
             let capacity = span * rate;
             if capacity >= remaining {
-                return cur + SimDuration::from_secs_f64(remaining / rate);
+                let seg = Segment {
+                    origin: t0,
+                    prefix,
+                    start: cur,
+                    end: epoch_end,
+                    rate,
+                };
+                return (cur + SimDuration::from_secs_f64(remaining / rate), seg);
             }
             remaining -= capacity;
+            prefix += capacity;
             cur = epoch_end;
         }
     }
@@ -190,7 +266,7 @@ mod tests {
         let p = profile(0.05);
         let t0 = SimTime::from_millis(3);
         for &n in &[1_000u64, 1_000_000, 123_456_789] {
-            let t1 = p.time_for_branches(t0, n);
+            let (t1, _) = p.time_for_branches(t0, n);
             let measured = p.branches_between(t0, t1);
             let err = measured.abs_diff(n);
             assert!(err <= 2, "n={n}: measured {measured}");
@@ -263,8 +339,56 @@ mod tests {
     fn time_for_zero_branches_is_identity() {
         let p = profile(0.05);
         assert_eq!(
-            p.time_for_branches(SimTime::from_millis(7), 0),
+            p.time_for_branches(SimTime::from_millis(7), 0).0,
             SimTime::from_millis(7)
         );
+    }
+
+    #[test]
+    fn recent_epoch_cache_never_changes_an_answer() {
+        // One long-lived profile (its epoch cache warm, contention moving
+        // back and forth) against a fresh profile per query.
+        let fresh = |c: f64| {
+            let mut p = profile(0.05);
+            p.set_contention(c);
+            p
+        };
+        let mut warm = profile(0.05);
+        for (i, c) in [0.0, 0.25, 0.25, 0.5, 0.0, 0.5].into_iter().enumerate() {
+            warm.set_contention(c);
+            // The same few epochs every round, walked forward then back,
+            // so each round starts on the epochs the last one cached under
+            // the previous contention.
+            for j in 0..40u64 {
+                let k = if i % 2 == 0 { j } else { 39 - j };
+                let t0 = SimTime::from_micros(5_000 + k * 137 + i as u64 * 97);
+                let t1 = t0 + SimDuration::from_micros(k * 311 + 1);
+                let n = k * 300_017 + 1;
+                assert_eq!(
+                    warm.branches_between(t0, t1),
+                    fresh(c).branches_between(t0, t1)
+                );
+                assert_eq!(
+                    warm.time_for_branches(t0, n),
+                    fresh(c).time_for_branches(t0, n)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segment_finishes_the_walk_bit_for_bit() {
+        let mut p = profile(0.05);
+        p.set_contention(0.25);
+        let t0 = SimTime::from_micros(3_217);
+        for &n in &[1u64, 999, 4_000_000, 37_123_457, 123_456_789] {
+            let (t1, seg) = p.time_for_branches(t0, n);
+            assert_eq!(seg.origin, t0);
+            let probes = [seg.start, t1, t1 + SimDuration::from_nanos(2), seg.end];
+            for t in probes.into_iter().filter(|&t| t <= seg.end) {
+                assert_eq!(seg.branches_to(t), Some(p.branches_between(t0, t)));
+            }
+            assert_eq!(seg.branches_to(seg.end + SimDuration::from_nanos(1)), None);
+        }
     }
 }

@@ -92,8 +92,8 @@ impl ProbeClient {
         }
     }
 
-    fn due(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
+    /// Appends every probe due by `now` to `out`.
+    fn due(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         loop {
             if self.remaining == 0 {
                 break;
@@ -121,21 +121,18 @@ impl ProbeClient {
             let gap = self.rng.exp_duration(self.mean_gap);
             self.next_at = Some(next + gap);
         }
-        out
     }
 }
 
 impl ClientApp for ProbeClient {
-    fn on_start(&mut self, now: SimTime) -> Vec<Packet> {
-        self.due(now)
+    fn on_start(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        self.due(now, out);
     }
 
-    fn on_packet(&mut self, _packet: &Packet, _now: SimTime) -> Vec<Packet> {
-        Vec::new()
-    }
+    fn on_packet(&mut self, _packet: &Packet, _now: SimTime, _out: &mut Vec<Packet>) {}
 
-    fn on_tick(&mut self, now: SimTime) -> Vec<Packet> {
-        self.due(now)
+    fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        self.due(now, out);
     }
 
     fn is_done(&self) -> bool {

@@ -8,7 +8,7 @@ use crate::registry::{
     InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
 };
 use netsim::packet::{AppData, Body, EndpointId, Packet};
-use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent};
+use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpOutput};
 use simkit::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 use stopwatch_core::cloud::{ClientApp, ClientHandle, CloudBuilder, CloudSim, VmHandle};
@@ -129,6 +129,9 @@ pub struct NfsServerGuest {
     in_service: BTreeMap<u64, bool>,
     awaiting_disk: VecDeque<u64>, // conn ids whose head op awaits disk
     ops_done: u64,
+    /// Transport output of the segment, tick or response being sent,
+    /// reused.
+    tcp_out: TcpOutput,
 }
 
 impl NfsServerGuest {
@@ -141,6 +144,7 @@ impl NfsServerGuest {
             in_service: BTreeMap::new(),
             awaiting_disk: VecDeque::new(),
             ops_done: 0,
+            tcp_out: TcpOutput::default(),
         }
     }
 
@@ -189,9 +193,9 @@ impl NfsServerGuest {
         let now = Self::vnow(env);
         let _ = now;
         if let Some(ep) = self.conns.get_mut(&conn) {
-            for pkt in ep.send_stream(head.op.response_bytes(), None, false) {
-                env.send(pkt.dst(), pkt.into_body());
-            }
+            let packets = &mut self.tcp_out.packets;
+            ep.send_stream(head.op.response_bytes(), None, false, packets);
+            env.send_all(packets);
         }
         self.maybe_start(conn, env);
     }
@@ -214,11 +218,10 @@ impl GuestProgram for NfsServerGuest {
         let ep = self.conns.entry(seg.conn).or_insert_with(|| {
             TcpEndpoint::server(self.cfg, seg.conn, packet.dst(), packet.src(), now)
         });
-        let out = ep.on_segment(seg, now);
-        for pkt in out.packets {
-            env.send(pkt.dst(), pkt.into_body());
-        }
-        for ev in out.events {
+        let mut out = std::mem::take(&mut self.tcp_out);
+        ep.on_segment(seg, now, &mut out);
+        env.send_all(&mut out.packets);
+        for ev in out.events.drain(..) {
             if let TcpEvent::Request(app) = ev {
                 if let Some(op) = NfsOp::from_code(app.kind) {
                     self.queues
@@ -232,6 +235,7 @@ impl GuestProgram for NfsServerGuest {
                 }
             }
         }
+        self.tcp_out = out;
     }
 
     fn on_disk_done(&mut self, _op: DiskOp, _range: BlockRange, _data: &[u64], env: &mut GuestEnv) {
@@ -246,13 +250,10 @@ impl GuestProgram for NfsServerGuest {
 
     fn on_timer(&mut self, env: &mut GuestEnv) {
         let now = Self::vnow(env);
-        let mut out = Vec::new();
         for ep in self.conns.values_mut() {
-            out.extend(ep.on_tick(now));
+            ep.on_tick(now, &mut self.tcp_out.packets);
         }
-        for pkt in out {
-            env.send(pkt.dst(), pkt.into_body());
-        }
+        env.send_all(&mut self.tcp_out.packets);
     }
 
     fn wants_timer(&self) -> bool {
@@ -293,6 +294,8 @@ pub struct NhfsstoneClient {
     last_issue_check: Option<SimTime>,
     backlog: f64,
     next_rr: usize,
+    /// Transport output of the segment being handled, reused.
+    tcp_out: TcpOutput,
     /// TCP segments sent (client → server).
     pub sent_segments: u64,
     /// TCP segments received (server → client).
@@ -324,6 +327,7 @@ impl NhfsstoneClient {
             last_issue_check: None,
             backlog: 0.0,
             next_rr: 0,
+            tcp_out: TcpOutput::default(),
             sent_segments: 0,
             received_segments: 0,
         }
@@ -351,15 +355,16 @@ impl NhfsstoneClient {
         self.completed
     }
 
-    fn issue_due(&mut self, now: SimTime) -> Vec<Packet> {
+    /// Issues every operation the offered rate has made due by `now`,
+    /// appending their request segments to `out`.
+    fn issue_due(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         let Some(last) = self.last_issue_check else {
             self.last_issue_check = Some(now);
-            return Vec::new();
+            return;
         };
         let dt = now.saturating_duration_since(last).as_secs_f64();
         self.last_issue_check = Some(now);
         self.backlog += dt * self.rate_per_sec;
-        let mut pkts = Vec::new();
         while self.backlog >= 1.0 && self.issued < self.target_ops {
             self.backlog -= 1.0;
             self.issued += 1;
@@ -373,22 +378,20 @@ impl NhfsstoneClient {
                 a: self.mix_stream.uniform_u64(0, 1_000_000),
                 b: 0,
             };
-            let out = ep.send_stream(100, Some(app), false);
-            self.sent_segments += out.len() as u64;
-            pkts.extend(out);
+            let before = out.len();
+            ep.send_stream(100, Some(app), false, out);
+            self.sent_segments += (out.len() - before) as u64;
             proc.outstanding.push_back(Outstanding {
                 issued: now,
                 response_bytes: op.response_bytes(),
             });
         }
-        pkts
     }
 }
 
 impl ClientApp for NhfsstoneClient {
-    fn on_start(&mut self, now: SimTime) -> Vec<Packet> {
+    fn on_start(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         self.started = Some(now);
-        let mut pkts = Vec::new();
         for i in 0..5 {
             let (ep, syn) = TcpEndpoint::client(self.cfg, 100 + i, self.me, self.server, now);
             self.procs.push(Proc {
@@ -397,29 +400,30 @@ impl ClientApp for NhfsstoneClient {
                 delivered: 0,
             });
             self.sent_segments += 1;
-            pkts.push(syn);
+            out.push(syn);
         }
-        pkts
     }
 
-    fn on_packet(&mut self, packet: &Packet, now: SimTime) -> Vec<Packet> {
+    fn on_packet(&mut self, packet: &Packet, now: SimTime, out: &mut Vec<Packet>) {
         let Body::Tcp(seg) = packet.body() else {
-            return Vec::new();
+            return;
         };
         self.received_segments += 1;
         let Some(pi) = seg.conn.checked_sub(100).map(|i| i as usize) else {
-            return Vec::new();
+            return;
         };
         if pi >= self.procs.len() {
-            return Vec::new();
+            return;
         }
         let proc = &mut self.procs[pi];
         let Some(ep) = proc.ep.as_mut() else {
-            return Vec::new();
+            return;
         };
-        let out = ep.on_segment(seg, now);
-        self.sent_segments += out.packets.len() as u64;
-        for ev in out.events {
+        let tcp = &mut self.tcp_out;
+        ep.on_segment(seg, now, tcp);
+        self.sent_segments += tcp.packets.len() as u64;
+        out.append(&mut tcp.packets);
+        for ev in tcp.events.drain(..) {
             if let TcpEvent::Delivered { new_bytes, .. } = ev {
                 proc.delivered += new_bytes;
                 // Consume delivered bytes against outstanding responses
@@ -437,19 +441,17 @@ impl ClientApp for NhfsstoneClient {
                 }
             }
         }
-        out.packets
     }
 
-    fn on_tick(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut pkts = self.issue_due(now);
+    fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        self.issue_due(now, out);
         for proc in &mut self.procs {
             if let Some(ep) = proc.ep.as_mut() {
-                let out = ep.on_tick(now);
-                self.sent_segments += out.len() as u64;
-                pkts.extend(out);
+                let before = out.len();
+                ep.on_tick(now, out);
+                self.sent_segments += (out.len() - before) as u64;
             }
         }
-        pkts
     }
 
     fn is_done(&self) -> bool {

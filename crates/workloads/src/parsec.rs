@@ -183,20 +183,15 @@ impl CompletionWaiter {
 }
 
 impl ClientApp for CompletionWaiter {
-    fn on_start(&mut self, _now: SimTime) -> Vec<Packet> {
-        Vec::new()
-    }
+    fn on_start(&mut self, _now: SimTime, _out: &mut Vec<Packet>) {}
 
-    fn on_packet(&mut self, packet: &Packet, now: SimTime) -> Vec<Packet> {
+    fn on_packet(&mut self, packet: &Packet, now: SimTime, _out: &mut Vec<Packet>) {
         if matches!(packet.body(), Body::Raw { tag: 0xD0E, .. }) {
             self.arrivals.push(now);
         }
-        Vec::new()
     }
 
-    fn on_tick(&mut self, _now: SimTime) -> Vec<Packet> {
-        Vec::new()
-    }
+    fn on_tick(&mut self, _now: SimTime, _out: &mut Vec<Packet>) {}
 
     fn is_done(&self) -> bool {
         self.arrivals.len() as u32 >= self.expected
@@ -294,9 +289,11 @@ mod tests {
     /// replica).
     pub fn run_app(name: &str, stopwatch: bool) -> (f64, u64) {
         let prof = profile(name).expect("known app");
-        let mut cfg = CloudConfig::default();
-        cfg.broadcast_band = None; // keep unit tests fast
-        cfg.disk = DiskKind::Rotating;
+        let cfg = CloudConfig {
+            broadcast_band: None, // keep unit tests fast
+            disk: DiskKind::Rotating,
+            ..CloudConfig::default()
+        };
         let mut b = CloudBuilder::new(cfg, 3);
         let monitor_ep = EndpointId(2000);
         let vm = if stopwatch {

@@ -7,7 +7,7 @@ use crate::registry::{
     InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
 };
 use netsim::packet::{AppData, Body, EndpointId, Packet};
-use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpState};
+use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpOutput, TcpState};
 use netsim::udp::{UdpClientEvent, UdpFileClient, UdpFileServer};
 use simkit::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -41,6 +41,8 @@ pub struct FileServerGuest {
     awaiting_disk: VecDeque<(u64, u64)>, // (conn, bytes) FIFO
     ready_to_send: VecDeque<(u64, u64)>, // disk done, waiting for handshake
     served: u64,
+    /// Transport output of the segment or tick being handled, reused.
+    tcp_out: TcpOutput,
 }
 
 impl FileServerGuest {
@@ -52,6 +54,7 @@ impl FileServerGuest {
             awaiting_disk: VecDeque::new(),
             ready_to_send: VecDeque::new(),
             served: 0,
+            tcp_out: TcpOutput::default(),
         }
     }
 
@@ -60,32 +63,23 @@ impl FileServerGuest {
         self.served
     }
 
-    fn pump(out: netsim::tcp::TcpOutput, env: &mut GuestEnv) -> Vec<TcpEvent> {
-        for pkt in out.packets {
-            env.send(pkt.dst(), pkt.into_body());
-        }
-        out.events
-    }
-
     /// Sends every disk-completed response whose connection has finished its
     /// handshake. A request can overtake the handshake ACK on the fabric, so
     /// a response may become ready while the connection is still in
     /// `SynReceived`; it is held here until the ACK lands.
     fn flush_ready(&mut self, env: &mut GuestEnv) {
-        let mut held = VecDeque::new();
-        while let Some((conn, bytes)) = self.ready_to_send.pop_front() {
-            match self.conns.get_mut(&conn) {
+        let packets = &mut self.tcp_out.packets;
+        self.ready_to_send
+            .retain(|&(conn, bytes)| match self.conns.get_mut(&conn) {
                 Some(ep) if ep.state() == TcpState::Established => {
                     self.served += 1;
-                    for pkt in ep.send_stream(bytes, None, true) {
-                        env.send(pkt.dst(), pkt.into_body());
-                    }
+                    ep.send_stream(bytes, None, true, packets);
+                    env.send_all(packets);
+                    false
                 }
-                Some(_) => held.push_back((conn, bytes)),
-                None => {}
-            }
-        }
-        self.ready_to_send = held;
+                Some(_) => true,
+                None => false,
+            });
     }
 }
 
@@ -106,8 +100,9 @@ impl GuestProgram for FileServerGuest {
         let ep = self.conns.entry(seg.conn).or_insert_with(|| {
             TcpEndpoint::server(self.cfg, seg.conn, packet.dst(), packet.src(), now)
         });
-        let events = Self::pump(ep.on_segment(seg, now), env);
-        for ev in events {
+        ep.on_segment(seg, now, &mut self.tcp_out);
+        env.send_all(&mut self.tcp_out.packets);
+        for ev in self.tcp_out.events.drain(..) {
             if let TcpEvent::Request(app) = ev {
                 if app.kind == APP_GET {
                     // Cold start: read the file from disk, then respond
@@ -134,13 +129,10 @@ impl GuestProgram for FileServerGuest {
     fn on_timer(&mut self, env: &mut GuestEnv) {
         // Drive retransmission timers in virtual time.
         let now = vnow(env);
-        let mut out = Vec::new();
         for ep in self.conns.values_mut() {
-            out.extend(ep.on_tick(now));
+            ep.on_tick(now, &mut self.tcp_out.packets);
         }
-        for pkt in out {
-            env.send(pkt.dst(), pkt.into_body());
-        }
+        env.send_all(&mut self.tcp_out.packets);
         self.flush_ready(env);
     }
 
@@ -173,6 +165,8 @@ pub struct HttpDownloadClient {
     next_conn: u64,
     current: Option<(TcpEndpoint, SimTime)>,
     results: Vec<DownloadResult>,
+    /// Transport output of the segment being handled, reused.
+    tcp_out: TcpOutput,
     /// Total TCP segments the client sent / received (Fig. 6b-style
     /// accounting).
     pub sent_segments: u64,
@@ -194,6 +188,7 @@ impl HttpDownloadClient {
             next_conn: 1,
             current: None,
             results: Vec::new(),
+            tcp_out: TcpOutput::default(),
             sent_segments: 0,
             received_segments: 0,
         }
@@ -204,9 +199,9 @@ impl HttpDownloadClient {
         &self.results
     }
 
-    fn start_download(&mut self, now: SimTime) -> Vec<Packet> {
+    fn start_download(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         if self.remaining == 0 || self.current.is_some() {
-            return Vec::new();
+            return;
         }
         self.remaining -= 1;
         let conn = self.next_conn;
@@ -214,27 +209,28 @@ impl HttpDownloadClient {
         let (ep, syn) = TcpEndpoint::client(self.cfg, conn, self.me, self.server, now);
         self.current = Some((ep, now));
         self.sent_segments += 1;
-        vec![syn]
+        out.push(syn);
     }
 }
 
 impl ClientApp for HttpDownloadClient {
-    fn on_start(&mut self, now: SimTime) -> Vec<Packet> {
-        self.start_download(now)
+    fn on_start(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        self.start_download(now, out);
     }
 
-    fn on_packet(&mut self, packet: &Packet, now: SimTime) -> Vec<Packet> {
+    fn on_packet(&mut self, packet: &Packet, now: SimTime, out: &mut Vec<Packet>) {
         let Body::Tcp(seg) = packet.body() else {
-            return Vec::new();
+            return;
         };
         self.received_segments += 1;
         let Some((ep, started)) = self.current.as_mut() else {
-            return Vec::new();
+            return;
         };
-        let out = ep.on_segment(seg, now);
-        self.sent_segments += out.packets.len() as u64;
-        let mut pkts = out.packets;
-        for ev in out.events {
+        let mut tcp = std::mem::take(&mut self.tcp_out);
+        ep.on_segment(seg, now, &mut tcp);
+        self.sent_segments += tcp.packets.len() as u64;
+        out.append(&mut tcp.packets);
+        for ev in tcp.events.drain(..) {
             match ev {
                 TcpEvent::Connected => {
                     // Request the file.
@@ -243,9 +239,9 @@ impl ClientApp for HttpDownloadClient {
                         a: self.file_id,
                         b: self.bytes,
                     };
-                    let reqs = ep.send_stream(200, Some(app), false);
-                    self.sent_segments += reqs.len() as u64;
-                    pkts.extend(reqs);
+                    let before = out.len();
+                    ep.send_stream(200, Some(app), false, out);
+                    self.sent_segments += (out.len() - before) as u64;
                 }
                 TcpEvent::PeerFinished { total } => {
                     let latency = now.duration_since(*started);
@@ -254,22 +250,22 @@ impl ClientApp for HttpDownloadClient {
                         bytes: total,
                     });
                     self.current = None;
-                    pkts.extend(self.start_download(now));
+                    self.start_download(now, out);
                     break;
                 }
                 _ => {}
             }
         }
-        pkts
+        self.tcp_out = tcp;
     }
 
-    fn on_tick(&mut self, now: SimTime) -> Vec<Packet> {
+    fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         if let Some((ep, _)) = self.current.as_mut() {
-            let pkts = ep.on_tick(now);
-            self.sent_segments += pkts.len() as u64;
-            pkts
+            let before = out.len();
+            ep.on_tick(now, out);
+            self.sent_segments += (out.len() - before) as u64;
         } else {
-            self.start_download(now)
+            self.start_download(now, out);
         }
     }
 
@@ -286,6 +282,8 @@ impl ClientApp for HttpDownloadClient {
 pub struct UdpFileGuest {
     inner: UdpFileServer,
     awaiting_disk: VecDeque<(EndpointId, netsim::packet::UdpSegment)>,
+    /// Packets of the datagram being answered, reused.
+    out: Vec<Packet>,
 }
 
 impl UdpFileGuest {
@@ -294,6 +292,7 @@ impl UdpFileGuest {
         UdpFileGuest {
             inner: UdpFileServer::new(EndpointId(0)),
             awaiting_disk: VecDeque::new(),
+            out: Vec::new(),
         }
     }
 }
@@ -320,9 +319,8 @@ impl GuestProgram for UdpFileGuest {
             }
             netsim::packet::UdpKind::Nak(_) => {
                 // Retransmissions come from the page cache: no disk.
-                for pkt in self.inner.on_datagram(packet.src(), seg) {
-                    env.send(pkt.dst(), pkt.into_body());
-                }
+                self.inner.on_datagram(packet.src(), seg, &mut self.out);
+                env.send_all(&mut self.out);
             }
             _ => {}
         }
@@ -335,9 +333,8 @@ impl GuestProgram for UdpFileGuest {
         let Some((from, seg)) = self.awaiting_disk.pop_front() else {
             return;
         };
-        for pkt in self.inner.on_datagram(from, &seg) {
-            env.send(pkt.dst(), pkt.into_body());
-        }
+        self.inner.on_datagram(from, &seg, &mut self.out);
+        env.send_all(&mut self.out);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -380,9 +377,9 @@ impl UdpDownloadClient {
         &self.results
     }
 
-    fn start(&mut self, now: SimTime) -> Vec<Packet> {
+    fn start(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         if self.remaining == 0 || self.current.is_some() {
-            return Vec::new();
+            return;
         }
         self.remaining -= 1;
         let stream = self.next_stream;
@@ -402,45 +399,43 @@ impl UdpDownloadClient {
         );
         self.current = Some((client, now));
         self.sent_datagrams += 1;
-        vec![req]
+        out.push(req);
     }
 }
 
 impl ClientApp for UdpDownloadClient {
-    fn on_start(&mut self, now: SimTime) -> Vec<Packet> {
-        self.start(now)
+    fn on_start(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+        self.start(now, out);
     }
 
-    fn on_packet(&mut self, packet: &Packet, now: SimTime) -> Vec<Packet> {
+    fn on_packet(&mut self, packet: &Packet, now: SimTime, out: &mut Vec<Packet>) {
         let Body::Udp(seg) = packet.body() else {
-            return Vec::new();
+            return;
         };
         let Some((client, started)) = self.current.as_mut() else {
-            return Vec::new();
+            return;
         };
-        let (pkts, events) = client.on_datagram(seg, now);
-        self.sent_datagrams += pkts.len() as u64;
-        if let Some(UdpClientEvent::Complete { .. }) = events.into_iter().next() {
+        let before = out.len();
+        let event = client.on_datagram(seg, now, out);
+        self.sent_datagrams += (out.len() - before) as u64;
+        if let Some(UdpClientEvent::Complete { .. }) = event {
             let latency = now.duration_since(*started);
             self.results.push(DownloadResult {
                 latency,
                 bytes: self.bytes,
             });
             self.current = None;
-            let mut out = pkts;
-            out.extend(self.start(now));
-            return out;
+            self.start(now, out);
         }
-        pkts
     }
 
-    fn on_tick(&mut self, now: SimTime) -> Vec<Packet> {
+    fn on_tick(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         if let Some((client, _)) = self.current.as_mut() {
-            let pkts = client.on_tick(now);
-            self.sent_datagrams += pkts.len() as u64;
-            pkts
+            let before = out.len();
+            client.on_tick(now, out);
+            self.sent_datagrams += (out.len() - before) as u64;
         } else {
-            self.start(now)
+            self.start(now, out);
         }
     }
 
@@ -695,6 +690,30 @@ mod tests {
             sw.as_millis_f64() > base.as_millis_f64() * 1.5,
             "StopWatch {sw} should cost much more than baseline {base}"
         );
+    }
+
+    #[test]
+    fn stopwatch_egress_retires_every_vote() {
+        // Every output packet's vote is dropped once the third replica's
+        // copy is in, so a finished run leaves the egress table empty.
+        let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
+        let vm = b.add_stopwatch_vm(&[0, 1, 2], || Box::new(FileServerGuest::new()));
+        b.add_client(Box::new(HttpDownloadClient::new(
+            EndpointId(2000),
+            vm.endpoint,
+            1,
+            30_000,
+            2,
+        )));
+        let mut sim = b.build();
+        let done = sim.run_until_clients_done(SimTime::from_secs(60));
+        assert!(sim.cloud.clients_done());
+        // Let the slowest replica's last copies reach the egress.
+        sim.run_until(done + SimDuration::from_secs(1));
+        let egress = sim.cloud.egress();
+        assert!(egress.forwarded() > 40, "forwarded {}", egress.forwarded());
+        assert_eq!(egress.divergences(), 0);
+        assert_eq!(egress.in_flight(), 0, "votes left behind");
     }
 
     #[test]

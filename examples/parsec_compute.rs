@@ -10,8 +10,10 @@ use workloads::parsec::profile;
 
 fn run(name: &str, stopwatch: bool) -> (f64, u64) {
     let prof = profile(name).expect("known application");
-    let mut cfg = CloudConfig::default();
-    cfg.broadcast_band = None;
+    let cfg = CloudConfig {
+        broadcast_band: None,
+        ..CloudConfig::default()
+    };
     let mut builder = CloudBuilder::new(cfg, 3);
     let monitor = EndpointId(2000);
     let vm = if stopwatch {

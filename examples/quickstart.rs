@@ -36,21 +36,18 @@ struct OnePing {
 }
 
 impl ClientApp for OnePing {
-    fn on_start(&mut self, _now: SimTime) -> Vec<Packet> {
+    fn on_start(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
         self.sent = true;
-        vec![Packet::new(
+        out.push(Packet::new(
             self.me,
             self.server,
             Body::Raw { tag: 7, len: 64 },
-        )]
+        ));
     }
-    fn on_packet(&mut self, _p: &Packet, now: SimTime) -> Vec<Packet> {
+    fn on_packet(&mut self, _p: &Packet, now: SimTime, _out: &mut Vec<Packet>) {
         self.reply_at = Some(now);
-        Vec::new()
     }
-    fn on_tick(&mut self, _now: SimTime) -> Vec<Packet> {
-        Vec::new()
-    }
+    fn on_tick(&mut self, _now: SimTime, _out: &mut Vec<Packet>) {}
     fn is_done(&self) -> bool {
         self.reply_at.is_some()
     }

@@ -4,10 +4,10 @@
 //! Events are typed values dispatched by `match` ([`CloudEvent`]), their
 //! large payloads live in recycled slabs, and the per-event paths reuse
 //! scratch buffers, so a steady-state run allocates only where a workload
-//! genuinely creates data (client packet batches, disk reads, guest
-//! bookkeeping). This test counts allocations with its own global
-//! allocator while one StopWatch 3-replica scenario of each of the cache,
-//! disk and timer channels and web-http runs, and pins two properties:
+//! genuinely creates data (disk reads, packets, guest bookkeeping). This
+//! test counts allocations with its own global allocator while one
+//! StopWatch 3-replica scenario of each of the cache, disk and timer
+//! channels and web-http runs, and pins two properties:
 //!
 //! * run-phase allocations ÷ `events_executed` ≤ [`MAX_ALLOCS_PER_EVENT`];
 //! * the count is exactly repeatable (it is a work count, not a timing)
@@ -23,9 +23,11 @@ use harness::prelude::*;
 use simkit::time::{SimDuration, SimTime};
 use stopwatch_core::cloud::CloudEvent;
 
-/// The gate. Before typed events the same scenarios ran at ~2 allocations
-/// per event (one boxed closure each, plus throwaway per-tick vectors).
-const MAX_ALLOCS_PER_EVENT: f64 = 0.5;
+/// The gate. Boxed per-event closures cost ~2 allocations per event, and
+/// transport or client output vectors built per call put web-http at
+/// ~0.33; with both gone web-http runs at ~0.16, so either coming back
+/// fails here.
+const MAX_ALLOCS_PER_EVENT: f64 = 0.3;
 
 struct Counting;
 

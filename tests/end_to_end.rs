@@ -43,17 +43,16 @@ struct PingClient {
 }
 
 impl ClientApp for PingClient {
-    fn on_start(&mut self, _now: SimTime) -> Vec<Packet> {
-        self.next()
+    fn on_start(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
+        self.next(out);
     }
-    fn on_packet(&mut self, p: &Packet, now: SimTime) -> Vec<Packet> {
+    fn on_packet(&mut self, p: &Packet, now: SimTime, _out: &mut Vec<Packet>) {
         if let Body::Raw { tag, .. } = *p.body() {
             self.replies.push((now, tag));
         }
-        Vec::new()
     }
-    fn on_tick(&mut self, _now: SimTime) -> Vec<Packet> {
-        self.next()
+    fn on_tick(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
+        self.next(out);
     }
     fn is_done(&self) -> bool {
         self.replies.len() as u32 >= self.to_send
@@ -64,17 +63,17 @@ impl ClientApp for PingClient {
 }
 
 impl PingClient {
-    fn next(&mut self) -> Vec<Packet> {
+    fn next(&mut self, out: &mut Vec<Packet>) {
         if self.sent >= self.to_send {
-            return Vec::new();
+            return;
         }
         let tag = u64::from(self.sent) * 100;
         self.sent += 1;
-        vec![Packet::new(
+        out.push(Packet::new(
             self.me,
             self.server,
             Body::Raw { tag, len: 80 },
-        )]
+        ));
     }
 }
 

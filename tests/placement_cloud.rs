@@ -30,21 +30,18 @@ struct OnePing {
     sent: bool,
 }
 impl ClientApp for OnePing {
-    fn on_start(&mut self, _now: SimTime) -> Vec<Packet> {
+    fn on_start(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
         self.sent = true;
-        vec![Packet::new(
+        out.push(Packet::new(
             self.me,
             self.server,
             Body::Raw { tag: 1, len: 40 },
-        )]
+        ));
     }
-    fn on_packet(&mut self, _p: &Packet, _now: SimTime) -> Vec<Packet> {
+    fn on_packet(&mut self, _p: &Packet, _now: SimTime, _out: &mut Vec<Packet>) {
         self.got = true;
-        Vec::new()
     }
-    fn on_tick(&mut self, _now: SimTime) -> Vec<Packet> {
-        Vec::new()
-    }
+    fn on_tick(&mut self, _now: SimTime, _out: &mut Vec<Packet>) {}
     fn is_done(&self) -> bool {
         self.got
     }

@@ -114,7 +114,7 @@ proptest! {
             SimRng::new(seed).stream("h"),
         );
         let t0 = SimTime::from_micros(start_us);
-        let t1 = p.time_for_branches(t0, branches);
+        let (t1, _) = p.time_for_branches(t0, branches);
         let measured = p.branches_between(t0, t1);
         prop_assert!(measured.abs_diff(branches) <= 2, "{measured} vs {branches}");
     }
@@ -151,11 +151,11 @@ proptest! {
             let pkt = tx.send(i);
             if !*lost {
                 rx.on_packet(pkt, &mut out);
-                delivered.extend(out.delivered.drain(..));
+                delivered.append(&mut out.delivered);
                 // NAKs answered immediately (the cloud does this over links).
                 for retx in tx.on_nak(&out.nak_missing) {
                     rx.on_packet(retx, &mut retx_out);
-                    delivered.extend(retx_out.delivered.drain(..));
+                    delivered.append(&mut retx_out.delivered);
                 }
             }
         }
@@ -167,7 +167,7 @@ proptest! {
             }
             for retx in tx.on_nak(&naks) {
                 rx.on_packet(retx, &mut out);
-                delivered.extend(out.delivered.drain(..));
+                delivered.append(&mut out.delivered);
             }
         }
         // Everything except a possibly-lost tail (no later packet revealed
@@ -333,6 +333,126 @@ proptest! {
             slot.add_proposal(&p, t, kind, 0, VirtNanos::from_millis(ms));
         }
         prop_assert_eq!(slot.early_buffered(), 0, "retired ids never re-buffer");
+    }
+}
+
+/// A guest that computes `n` branches from boot, so its next wake is the
+/// end of that compute.
+struct BurnGuest(u64);
+
+impl GuestProgram for BurnGuest {
+    fn on_boot(&mut self, env: &mut GuestEnv) {
+        env.compute(self.0);
+    }
+    fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
+    fn on_disk_done(
+        &mut self,
+        _op: storage::DiskOp,
+        _r: BlockRange,
+        _d: &[u64],
+        _env: &mut GuestEnv,
+    ) {
+    }
+}
+
+/// The oracle for the wake projection: a fresh inversion from
+/// `now.max(resume)`, then 2 ns nudges that each re-integrate the slot's
+/// branch count from its sync point through the public `branches_at`,
+/// with no reuse of the inversion's last segment.
+fn nudge_oracle(
+    slot: &GuestSlot,
+    p: &SpeedProfile,
+    now: SimTime,
+    resume: SimTime,
+    target: u64,
+) -> SimTime {
+    let start = now.max(resume);
+    let phys = slot.branches_at(p, now);
+    if target <= phys {
+        return start;
+    }
+    let (mut t, _) = p.time_for_branches(start, target - phys);
+    for _ in 0..16 {
+        if slot.branches_at(p, t) >= target {
+            return t;
+        }
+        t += SimDuration::from_nanos(2);
+    }
+    t
+}
+
+proptest! {
+    /// The segment `time_for_branches` returns finishes `branches_between`
+    /// from the walk's origin bit for bit, and the slot projections built
+    /// on it (`next_wake`, `phys_at_virt`) land on exactly the instants
+    /// the re-integrating nudge loop finds — with the slot probed at its
+    /// sync point (the segment is reused), later (it is not), and stalled.
+    #[test]
+    fn wake_projection_reuses_its_last_segment_bit_for_bit(
+        jitter in 0.0f64..0.05,
+        contention_q in 0u32..4,
+        seed in 0u64..1000,
+        boot_us in 0u64..30_000,
+        lag_us in 0u64..25_000,
+        stall_us in 0u64..5_000,
+        branches in 1u64..60_000_000,
+    ) {
+        let mut p = SpeedProfile::new(
+            1.0e9,
+            jitter,
+            SimDuration::from_millis(10),
+            SimRng::new(seed).stream("h"),
+        );
+        p.set_contention(f64::from(contention_q) * 0.25);
+        let boot = SimTime::from_micros(boot_us);
+
+        // The segment alone reproduces the integration, across epochs.
+        let (t1, seg) = p.time_for_branches(boot, branches);
+        prop_assert_eq!(seg.origin, boot);
+        prop_assert!(seg.start <= t1);
+        for k in 0..16u64 {
+            let t = t1 + SimDuration::from_nanos(2 * k);
+            if t <= seg.end {
+                prop_assert_eq!(seg.branches_to(t), Some(p.branches_between(boot, t)));
+            }
+        }
+
+        let clock = VirtualClock::new(VirtNanos::from_nanos(seed), 1.0, None);
+        let booted = || {
+            let cfg = SlotConfig {
+                endpoint: EndpointId(7),
+                exit_every: 50_000,
+                mode: DefenseMode::baseline(),
+                clocks: PlatformClocks::default(),
+            };
+            let mut slot = GuestSlot::new(
+                Box::new(BurnGuest(branches)),
+                cfg,
+                clock.clone(),
+                DiskImage::new(16),
+            );
+            slot.boot(&p, &mut CacheModel::new(8, 2), boot, &mut Vec::new())
+                .expect("boot");
+            slot
+        };
+        let target = booted().pc() + branches;
+        let later = boot + SimDuration::from_micros(lag_us);
+        for now in [boot, later] {
+            // Fresh slots, so no memoized wake answers for the projection.
+            let slot = booted();
+            let want = nudge_oracle(&slot, &p, now, SimTime::ZERO, target);
+            prop_assert_eq!(slot.next_wake(&p, now), Some(want));
+            let v = clock.virt(target);
+            let want = nudge_oracle(&slot, &p, now, SimTime::ZERO, clock.instr_for(v));
+            prop_assert_eq!(slot.phys_at_virt(&p, now, v), want);
+
+            // Stalled: the projection starts at the resume instant.
+            let mut slot = booted();
+            let resume = now + SimDuration::from_micros(stall_us);
+            slot.stall_until(&p, now, resume);
+            let want = nudge_oracle(&slot, &p, now, resume, target);
+            prop_assert_eq!(slot.next_wake(&p, now), Some(want));
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! figures silently rely on.
 
 use netsim::packet::{AppData, Body, Packet};
-use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent};
+use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpOutput};
 use netsim::udp::{UdpFileClient, UdpFileServer};
 use proptest::prelude::*;
 use simkit::time::{SimDuration, SimTime};
@@ -45,6 +45,7 @@ proptest! {
         let mut to_client: Vec<Packet> = Vec::new();
         let mut started = false;
         let mut finished = false;
+        let mut out = TcpOutput::default();
         // Drive rounds of exchange; each round advances time so RTOs fire.
         for _round in 0..400 {
             if finished {
@@ -54,12 +55,12 @@ proptest! {
                 if rng.chance(loss_prob) {
                     continue; // lost
                 }
-                let out = server.on_segment(tcp_seg(&p), now);
-                to_client.extend(out.packets);
-                for ev in out.events {
+                server.on_segment(tcp_seg(&p), now, &mut out);
+                to_client.append(&mut out.packets);
+                for ev in out.events.drain(..) {
                     if matches!(ev, TcpEvent::Connected) && !started {
                         started = true;
-                        to_client.extend(server.send_stream(total, None, true));
+                        server.send_stream(total, None, true, &mut to_client);
                     }
                 }
             }
@@ -67,9 +68,9 @@ proptest! {
                 if rng.chance(loss_prob) {
                     continue;
                 }
-                let out = client.on_segment(tcp_seg(&p), now);
-                to_server.extend(out.packets);
-                for ev in out.events {
+                client.on_segment(tcp_seg(&p), now, &mut out);
+                to_server.append(&mut out.packets);
+                for ev in out.events.drain(..) {
                     if let TcpEvent::PeerFinished { total: t } = ev {
                         prop_assert_eq!(t, total);
                         finished = true;
@@ -77,8 +78,8 @@ proptest! {
                 }
             }
             now += SimDuration::from_millis(60);
-            to_server.extend(client.on_tick(now));
-            to_client.extend(server.on_tick(now));
+            client.on_tick(now, &mut to_server);
+            server.on_tick(now, &mut to_client);
         }
         prop_assert!(finished, "stream of {total} bytes never completed");
     }
@@ -114,17 +115,16 @@ proptest! {
                 if rng.chance(loss_prob) {
                     continue;
                 }
-                to_client.extend(server.on_datagram(EndpointId(2), udp_seg(&p)));
+                server.on_datagram(EndpointId(2), udp_seg(&p), &mut to_client);
             }
             for p in std::mem::take(&mut to_client) {
                 if rng.chance(loss_prob) {
                     continue;
                 }
-                let (pk, _) = client.on_datagram(udp_seg(&p), now);
-                to_server.extend(pk);
+                client.on_datagram(udp_seg(&p), now, &mut to_server);
             }
             now += SimDuration::from_millis(50);
-            to_server.extend(client.on_tick(now));
+            client.on_tick(now, &mut to_server);
         }
         prop_assert!(client.is_complete(), "transfer of {chunks} chunks never completed");
     }
@@ -219,8 +219,8 @@ fn attacker_cannot_read_real_time_under_stopwatch() {
     let a = mk();
     let b = mk();
     // Same branch count reached at very different real times...
-    let t_fast = fast.time_for_branches(SimTime::ZERO, 100_000_000);
-    let t_slow = slow.time_for_branches(SimTime::ZERO, 100_000_000);
+    let (t_fast, _) = fast.time_for_branches(SimTime::ZERO, 100_000_000);
+    let (t_slow, _) = slow.time_for_branches(SimTime::ZERO, 100_000_000);
     assert!(t_slow.as_secs_f64() / t_fast.as_secs_f64() > 1.4);
     // ...but (within float round-off of the branch/time inversion)
     // identical virtual time: the clock depends only on branches.
