@@ -326,21 +326,24 @@ impl SweepReport {
             .render_pretty()
     }
 
-    /// A human-readable per-cell table for the console.
+    /// A human-readable per-cell table for the console. Its `timeouts`
+    /// column counts the runs whose clients did not finish: their
+    /// completed samples are in the percentiles, so a nonzero count means
+    /// the cell's latencies leave out the operations that never finished.
     pub fn to_table(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:<44} {:>5} {:>8} {:>10} {:>10} {:>10}",
-            "cell", "runs", "samples", "p50_ms", "p95_ms", "mean_ms"
+            "{:<44} {:>5} {:>8} {:>8} {:>10} {:>10} {:>10}",
+            "cell", "runs", "timeouts", "samples", "p50_ms", "p95_ms", "mean_ms"
         );
         for c in &self.cells {
             let p = &c.latency_ms;
             let _ = writeln!(
                 out,
-                "{:<44} {:>5} {:>8} {:>10.3} {:>10.3} {:>10.3}",
-                c.cell, c.runs, p.count, p.p50, p.p95, p.mean
+                "{:<44} {:>5} {:>8} {:>8} {:>10.3} {:>10.3} {:>10.3}",
+                c.cell, c.runs, c.timeouts, p.count, p.p50, p.p95, p.mean
             );
         }
         for v in &self.leakage {
@@ -575,6 +578,25 @@ mod tests {
         assert_eq!(r.failures, vec![("bad#1".to_string(), "boom".to_string())]);
         let json = r.to_json();
         assert!(json.contains("\"error\": \"boom\""));
+    }
+
+    #[test]
+    fn timed_out_runs_show_in_the_table() {
+        let mut slow = outcome("a", 2, vec![5.0]);
+        slow.result.as_mut().expect("built Ok").clients_done = false;
+        let outcomes = vec![outcome("a", 1, vec![1.0, 2.0]), slow];
+        let r = SweepReport::from_outcomes("t", &outcomes, None);
+        assert_eq!(r.cells[0].timeouts, 1);
+        let table = r.to_table();
+        let mut lines = table.lines();
+        let header: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        let row: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+        let col = header
+            .iter()
+            .position(|&h| h == "timeouts")
+            .expect("column");
+        assert_eq!((row[0], row[col]), ("a", "1"), "{table}");
+        assert!(r.to_json().contains("\"timeouts\": 1"));
     }
 
     #[test]

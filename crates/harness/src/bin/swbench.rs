@@ -15,7 +15,7 @@
 //!     config knob: sweep it with `--axis cfg.defense=...` or pin it
 //!     with `--set defense=NAME`.
 //!     Options:
-//!       --seeds N          seed shards per cell (default 4, base seed 42)
+//!       --seeds N          seed shards per cell, N >= 1 (default 4, base seed 42)
 //!       --seed-base N      first seed (default 42)
 //!       --param K=V        base workload parameter
 //!       --set K=V          base CloudConfig override
@@ -23,6 +23,14 @@
 //!       --threads N        worker threads (default: all cores)
 //!       --baseline CELL    leakage baseline cell (default: first cell)
 //!       --out FILE         JSON output path
+//!
+//! swbench figure <fig1|fig8|placement|all> [--out DIR]
+//!     Write the analytic figures (Fig. 1, Fig. 8, the Sec. VIII
+//!     placement theorems) as CSV files into DIR (default: results/).
+//!     The simulated figures are presets: fig4 is `attack`, fig5 `fig5`,
+//!     fig6 `fig6`, fig7 `parsec`, the Sec. VII-A calibration
+//!     `delta-n`/`delta-d`, and the Sec. IX collaborating attacker
+//!     `collab`.
 //!
 //! swbench perf [<bench>|--all] [--quick] [--scalar] [--repeats N]
 //!              [--warmup N] [--threads N] [--out FILE]
@@ -96,6 +104,10 @@ fn main() -> ExitCode {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e),
         },
+        Some("figure") => match parse_figure(&args[1..]).and_then(write_figures) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => fail(&e),
+        },
         Some("perf") => match parse_perf(&args[1..]).and_then(run_perf_bench) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e),
@@ -112,7 +124,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: swbench list | workloads | describe [workload] | \
                  run <preset> [opts] | sweep --workload NAME [opts] | \
-                 perf [bench] [opts] | profile [bench] [opts] | help"
+                 figure <name> [--out DIR] | perf [bench] [opts] | profile [bench] [opts] | help"
             );
             ExitCode::FAILURE
         }
@@ -131,6 +143,9 @@ swbench — sweep driver of the StopWatch reproduction
   swbench run <preset> [opts]      run a named sweep, write its JSON aggregate
   swbench sweep --workload NAME [--axis K=V1,V2]... [opts]
                                    free-form cartesian sweep
+  swbench figure <fig1|fig8|placement|all> [--out DIR]
+                                   analytic figures as CSV files (default
+                                   DIR: results/)
   swbench perf [bench|--all] [--quick] [--scalar] [--repeats N] [--warmup N]
                [--profile] [--baseline FILE | --baseline-dir DIR]
                [--max-regress FRAC] [opts]
@@ -366,6 +381,13 @@ fn parse_sweep(args: &[String]) -> Result<Invocation, String> {
             "--seeds" => {
                 let v = take_value(args, &mut i, "--seeds")?;
                 seeds = v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?;
+                if seeds == 0 {
+                    return Err(
+                        "--seeds 0 would run no scenario; pass --seeds N with N >= 1, \
+                         or omit the flag for the default of 4"
+                            .to_string(),
+                    );
+                }
             }
             "--seed-base" => {
                 let v = take_value(args, &mut i, "--seed-base")?;
@@ -384,7 +406,7 @@ fn parse_sweep(args: &[String]) -> Result<Invocation, String> {
         i += 1;
     }
     let workload = workload.ok_or_else(|| "sweep needs --workload".to_string())?;
-    let mut spec = SweepSpec::new("custom", &workload).seed_shards(seed_base, seeds.max(1));
+    let mut spec = SweepSpec::new("custom", &workload).seed_shards(seed_base, seeds);
     spec.axes = axes;
     spec.base_params = params;
     spec.base_overrides = overrides;
@@ -395,6 +417,41 @@ fn parse_sweep(args: &[String]) -> Result<Invocation, String> {
         baseline: flags.baseline,
         out: flags.out,
     })
+}
+
+/// Parses `figure <name> [--out DIR]` into the figure name and the
+/// output directory.
+fn parse_figure(args: &[String]) -> Result<(String, PathBuf), String> {
+    let mut name = None;
+    let mut out = PathBuf::from("results");
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--out" => out = PathBuf::from(take_value(args, &mut i, "--out")?),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
+            figure if name.is_none() => name = Some(figure.to_string()),
+            extra => return Err(format!("unexpected argument {extra:?}")),
+        }
+        i += 1;
+    }
+    let name = name.ok_or_else(|| {
+        format!(
+            "figure needs a name: {}, all",
+            harness::figures::FIGURES.join(", ")
+        )
+    })?;
+    Ok((name, out))
+}
+
+fn write_figures((name, out): (String, PathBuf)) -> Result<(), String> {
+    let files = harness::figures::render(&name)?;
+    std::fs::create_dir_all(&out).map_err(|e| format!("creating {out:?}: {e}"))?;
+    for f in files {
+        let path = out.join(&f.name);
+        std::fs::write(&path, f.body).map_err(|e| format!("writing {path:?}: {e}"))?;
+        println!("{}", path.display());
+    }
+    Ok(())
 }
 
 /// Everything a `swbench perf` invocation needs.

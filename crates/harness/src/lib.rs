@@ -17,6 +17,8 @@
 //! * [`aggregate`] — per-cell percentile summaries, KS/χ² leakage
 //!   verdicts via [`timestats`], and deterministic JSON reports;
 //! * [`presets`] — named paper-figure sweeps for the `swbench` binary;
+//! * [`figures`] — the analytic figures (Fig. 1, Fig. 8, Sec. VIII
+//!   placement) as CSV files, for `swbench figure`;
 //! * [`perf`] — named throughput benchmarks (`swbench perf`) with
 //!   warmup/repeat-median methodology, `BENCH_<name>.json` artifacts, and
 //!   the CI regression gate;
@@ -47,6 +49,7 @@
 //! ```
 
 pub mod aggregate;
+pub mod figures;
 pub mod json;
 pub mod perf;
 pub mod presets;

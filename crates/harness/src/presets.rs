@@ -1,5 +1,5 @@
-//! Named sweep presets: the paper's figure-shaped experiments plus the
-//! scaling grids the roadmap tracks, each a ready-to-run [`SweepSpec`].
+//! Named sweep presets: one per simulated paper figure plus the scaling
+//! grids the roadmap tracks, each a ready-to-run [`SweepSpec`].
 //!
 //! `swbench run <name>` starts one; `swbench list` prints this registry.
 //! The `quick` flag shrinks workload sizes and seed counts so a laptop
@@ -101,6 +101,32 @@ pub const PRESETS: &[Preset] = &[
                 spec,
                 &[("probes", if quick { "100" } else { "400" })],
                 &[("broadcast_band", "off"), ("client_tick_ms", "4")],
+            );
+            spec.duration = SimDuration::from_secs(600);
+            spec
+        },
+    },
+    Preset {
+        name: "collab",
+        about: "collaborating attacker: a load VM on one replica's host vs 3 and 5 replicas, StopWatch (Sec. IX)",
+        build: |quick| {
+            // The victim always coresides with the attacker's first
+            // replica (what the attacker wants to sense); the collaborator
+            // loads the same host to push that replica out of the median.
+            // A load=true cell's mean against its load=false sibling is
+            // the shift the collaborator achieved.
+            let spec = SweepSpec::new("collab", "attack")
+                .axis("cfg.replicas", &[3u64, 5])
+                .axis("load", &["false", "true"]);
+            let mut spec = with_params(
+                spec,
+                &[("victim", "true"), ("probes", if quick { "150" } else { "600" })],
+                &[
+                    ("defense", "stopwatch"),
+                    ("broadcast_band", "off"),
+                    ("disk", "ssd"),
+                    ("client_tick_ms", "2"),
+                ],
             );
             spec.duration = SimDuration::from_secs(600);
             spec
@@ -344,6 +370,36 @@ mod tests {
         assert!(scenarios.iter().any(|s| s
             .overrides
             .contains(&("replicas".to_string(), "5".to_string()))));
+    }
+
+    #[test]
+    fn collab_is_replicas_by_load_under_stopwatch_with_the_victim() {
+        for quick in [true, false] {
+            let spec = preset("collab").unwrap().spec(quick);
+            let scenarios = spec.scenarios().expect("expands");
+            let cells: Vec<&str> = scenarios.iter().map(|s| s.cell.as_str()).collect();
+            assert_eq!(
+                cells,
+                [
+                    "cfg.replicas=3,load=false",
+                    "cfg.replicas=3,load=true",
+                    "cfg.replicas=5,load=false",
+                    "cfg.replicas=5,load=true",
+                ]
+            );
+            let probes = if quick { "150" } else { "600" };
+            for s in &scenarios {
+                assert!(s
+                    .workload_params
+                    .contains(&("victim".into(), "true".into())));
+                assert!(s
+                    .workload_params
+                    .contains(&("probes".into(), probes.into())));
+                assert!(s
+                    .overrides
+                    .contains(&("defense".into(), "stopwatch".into())));
+            }
+        }
     }
 
     #[test]

@@ -368,3 +368,55 @@ fn perf_writes_bench_json_and_gates_against_it() {
         stderr(&out)
     );
 }
+
+#[test]
+fn seeds_zero_fails_with_the_fix_spelled_out() {
+    let out = swbench(&["sweep", "--workload", "web-http", "--seeds", "0"]);
+    assert!(!out.status.success(), "--seeds 0 must fail");
+    let err = stderr(&out);
+    assert!(err.contains("--seeds 0"), "{err}");
+    assert!(err.contains("N >= 1"), "{err}");
+    assert!(!err.contains("scenarios on"), "ran scenarios: {err}");
+}
+
+#[test]
+fn figure_all_writes_every_analytic_csv() {
+    let dir = std::env::temp_dir().join(format!("swbench_figure_cli_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = swbench(&["figure", "all", "--out", dir.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("output dir")
+        .map(|e| e.expect("entry").file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(
+        written,
+        [
+            "fig1a_lambda_0.500.csv",
+            "fig1a_lambda_0.909.csv",
+            "fig1b_detect.csv",
+            "fig1c_detect.csv",
+            "fig8a_noise.csv",
+            "fig8b_noise.csv",
+            "placement_greedy.csv",
+            "placement_theorem1.csv",
+            "placement_theorem2.csv",
+        ]
+    );
+    let detect = std::fs::read_to_string(dir.join("fig1b_detect.csv")).unwrap();
+    assert!(
+        detect.starts_with("confidence,obs_with_stopwatch,obs_without\n0.70,"),
+        "{detect}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unknown_figure_lists_the_valid_names() {
+    let out = swbench(&["figure", "fig4"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("\"fig4\""), "{err}");
+    assert!(err.contains("fig1, fig8, placement, all"), "{err}");
+}

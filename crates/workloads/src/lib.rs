@@ -34,10 +34,7 @@ pub mod web;
 
 /// One-line import for the common types.
 pub mod prelude {
-    pub use crate::attack::{
-        run_attack_scenario, AttackTrace, AttackWorkload, AttackerGuest, LoadGuest, ProbeClient,
-        VictimGuest,
-    };
+    pub use crate::attack::{AttackWorkload, AttackerGuest, LoadGuest, ProbeClient, VictimGuest};
     pub use crate::cache::{CacheChannelWorkload, CacheVictimGuest, PrimeProbeGuest};
     pub use crate::disk::{DiskChannelWorkload, DiskProbeGuest, DiskSeekVictimGuest};
     pub use crate::nfs::{NfsOp, NfsServerGuest, NfsWorkload, NhfsstoneClient, PAPER_MIX};

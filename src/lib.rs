@@ -12,8 +12,10 @@
 //! entire platform as a deterministic discrete-event simulation and
 //! implements StopWatch inside it, at the same architectural joints. See
 //! `DESIGN.md` for the system inventory and the sweep architecture;
-//! regenerate the paper's figures with the `experiments` binary of the
-//! `bench` crate (CSVs land in `results/`).
+//! regenerate the paper's figures with the `swbench` binary of the
+//! `harness` crate: `swbench run <preset>` for the simulated figures
+//! (`swbench list` names them) and `swbench figure all` for the analytic
+//! ones (CSVs land in `results/`).
 //!
 //! ## Crate map
 //!
@@ -27,7 +29,7 @@
 //! | [`placement`] | Theorems 1–2: triangle packings, Bose construction |
 //! | [`timestats`] | order statistics, χ² detection, KS distance, Fig. 8 |
 //! | [`workloads`] | web/NFS/PARSEC/attacker guests, clients, registry |
-//! | [`harness`] | parallel scenario sweeps and the `swbench` driver |
+//! | [`harness`] | parallel scenario sweeps, paper-figure presets, the `swbench` driver |
 //!
 //! ## Quickstart
 //!
