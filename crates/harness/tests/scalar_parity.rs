@@ -1,4 +1,4 @@
-//! Differential gate: the batched engine (hierarchical time-wheel +
+//! Differential gate: the batched engine (sorted run + time-wheel queue,
 //! batched median agreement) and the scalar reference paths must produce
 //! **byte-identical** sweep reports, not just matching totals. This is
 //! the end-to-end teeth behind `Sim::set_scalar_reference` — any

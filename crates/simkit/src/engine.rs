@@ -10,43 +10,46 @@
 //! reproduction leans on heavily (replica determinism is part of the
 //! defense itself).
 //!
-//! # Batched scheduling over a hierarchical time-wheel
+//! # One queue: a sorted run in front of a time-wheel
 //!
-//! The run loop advances time in **timestamp batches**: when the clock
-//! reaches the next pending timestamp, every event sharing it is drained
-//! from the queue into a FIFO *lane* in one pass, then executed in
-//! sequence order. Events scheduled *at the current time* (immediate work,
-//! past times clamped to `now`) are appended straight to the lane and
-//! never touch the queue — the common "N packets land on one tick" case
-//! pays one queue operation per *timestamp*, not per event, and
-//! handler-chained immediate events pay no queue traffic at all. The lane
-//! is a persistent allocation reused across batches and runs.
-//!
-//! The batched queue itself is a hierarchical time-wheel
-//! (`crate::wheel`): O(1) filing per event, occupancy-bitmap scans to the
-//! next timestamp, and pooled bucket storage so steady-state runs perform
-//! no queue allocations. The scalar reference loop keeps the original
-//! binary heap. All three — wheel, lane and heap — store the same
-//! `(at, seq, event)` entries and dispatch through the same
+//! The default run loop pops one event at a time from
+//! `crate::wheel::Queue`, a sorted run in front of a hierarchical
+//! time-wheel. The simulator's pending set is usually a handful of
+//! entries, which the run holds on its own: an insert is a binary search
+//! plus a short memmove, a pop is a `Vec::pop`, and an event scheduled at
+//! `now` lands at the back, behind the other entries due now. Past 64
+//! entries the run's later half spills into the wheel (O(1) filing,
+//! occupancy-bitmap scans, pooled buckets) and is pulled back one stretch
+//! at a time as the run empties, so a queue of a million entries keeps
+//! O(1) inserts. Steady-state runs perform no queue allocations. The
+//! scalar reference loop keeps the original binary heap; both store the
+//! same `(at, seq, event)` entries and dispatch through the same
 //! [`World::handle`].
 //!
-//! Batching changes only *where* events wait, never *when* or in what
+//! The queue changes only *where* events wait, never *when* or in what
 //! order they run: the execution order is identical to the scalar
-//! one-pop-per-event loop, which is retained as
-//! [`Sim::set_scalar_reference`] so differential tests can prove it.
-//! Switching modes migrates the pending events between the wheel and the
-//! heap; their `(at, seq)` keys restore the exact order either way.
+//! binary-heap loop, which is retained as [`Sim::set_scalar_reference`]
+//! so differential tests can prove it. Switching modes migrates the
+//! pending events between the two queues; their `(at, seq)` keys restore
+//! the exact order either way. Because both loops pop in that one global
+//! order, an [`EventId`] (which carries its event's key) tells whether
+//! the event already ran.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::fxhash::FxHashSet;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::Wheel;
+use crate::wheel::Queue;
 
-/// Identifier of a scheduled event, usable for cancellation.
+/// Identifier of a scheduled event, usable for cancellation. It carries
+/// the event's `(at, seq)` key, which tells the engine whether the event
+/// has already run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    at: SimTime,
+    seq: u64,
+}
 
 /// A simulation world: the state events act on, and the dispatcher of its
 /// own closed event set.
@@ -131,16 +134,16 @@ pub struct Sim<W: World> {
     next_seq: u64,
     /// Scalar-reference queue: only populated in scalar mode.
     queue: BinaryHeap<Scheduled<W::Event>>,
-    /// Batched-mode queue: a hierarchical time-wheel with pooled buckets.
-    wheel: Wheel<W::Event>,
-    /// Same-time FIFO lane: events due exactly at `now`, in `seq` order.
-    /// Invariant: whenever the lane is non-empty, every queued entry is
-    /// strictly later than `now`, so draining the lane first preserves
-    /// global `(at, seq)` order.
-    lane: VecDeque<Scheduled<W::Event>>,
+    /// Default-mode queue: a sorted near-run in front of a hierarchical
+    /// time-wheel.
+    future: Queue<W::Event>,
     cancelled: FxHashSet<u64>,
+    /// The smallest `(at, seq)` that has not been dispatched or dropped.
+    /// Both loops pop in global `(at, seq)` order, so every key below it
+    /// is done.
+    undone_from: (SimTime, u64),
     executed: u64,
-    /// Run the pre-batching one-pop-per-event loop instead (differential
+    /// Run the binary-heap reference loop instead (differential
     /// reference; see [`Sim::set_scalar_reference`]).
     scalar_reference: bool,
 }
@@ -158,30 +161,26 @@ impl<W: World> Sim<W> {
             now: SimTime::ZERO,
             next_seq: 0,
             queue: BinaryHeap::new(),
-            wheel: Wheel::new(),
-            lane: VecDeque::new(),
+            future: Queue::new(),
             cancelled: FxHashSet::default(),
+            undone_from: (SimTime::ZERO, 0),
             executed: 0,
             scalar_reference: false,
         }
     }
 
-    /// Switches between the batched run loop (default) and the scalar
-    /// one-pop-per-event reference loop. The two execute identical event
-    /// orders; the scalar path exists so determinism tests can diff the
-    /// batched engine against it.
+    /// Switches between the default run loop (sorted run + time-wheel)
+    /// and the scalar binary-heap reference loop. The two execute
+    /// identical event orders; the scalar path exists so determinism tests
+    /// can diff the default engine against it.
     ///
-    /// Pending events migrate between the batched time-wheel (plus the
-    /// same-time lane) and the scalar heap in both directions — their
-    /// `(at, seq)` keys restore their exact place, so flipping the mode
-    /// never reorders anything.
+    /// Pending events migrate between the two queues in both directions —
+    /// their `(at, seq)` keys restore their exact place, so flipping the
+    /// mode never reorders anything.
     pub fn set_scalar_reference(&mut self, scalar: bool) {
         if scalar && !self.scalar_reference {
-            while let Some(ev) = self.lane.pop_front() {
-                self.queue.push(ev);
-            }
             let queue = &mut self.queue;
-            self.wheel.drain_all(&mut |at, seq, event| {
+            self.future.drain_all(&mut |at, seq, event| {
                 queue.push(Scheduled {
                     at: SimTime::from_nanos(at),
                     seq,
@@ -190,7 +189,7 @@ impl<W: World> Sim<W> {
             });
         } else if !scalar && self.scalar_reference {
             for ev in std::mem::take(&mut self.queue) {
-                self.wheel.insert(ev.at.as_nanos(), ev.seq, ev.event);
+                self.future.insert(ev.at.as_nanos(), ev.seq, ev.event);
             }
         }
         self.scalar_reference = scalar;
@@ -208,7 +207,7 @@ impl<W: World> Sim<W> {
 
     /// Number of events still pending (including cancelled tombstones).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.wheel.len() + self.lane.len()
+        self.queue.len() + self.future.len()
     }
 
     /// Schedules `event` to run at absolute time `at`.
@@ -221,15 +220,10 @@ impl<W: World> Sim<W> {
         self.next_seq += 1;
         if self.scalar_reference {
             self.queue.push(Scheduled { at, seq, event });
-        } else if at == self.now {
-            // Same-time fast path: an event due right now joins the FIFO
-            // lane (its seq is larger than everything staged there) and
-            // skips the queue entirely.
-            self.lane.push_back(Scheduled { at, seq, event });
         } else {
-            self.wheel.insert(at.as_nanos(), seq, event);
+            self.future.insert(at.as_nanos(), seq, event);
         }
-        EventId(seq)
+        EventId { at, seq }
     }
 
     /// Schedules `event` to run `delay` after the current time.
@@ -243,16 +237,18 @@ impl<W: World> Sim<W> {
     /// when its time comes. Cancelling an already-executed event returns
     /// `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
+        if id.seq >= self.next_seq || (id.at, id.seq) < self.undone_from {
             return false;
         }
-        self.cancelled.insert(id.0)
+        self.cancelled.insert(id.seq)
     }
 
-    /// `true` when `seq` carries a cancellation tombstone (consuming it).
-    /// The empty-set check keeps the no-cancellations case a branch, not a
-    /// hash probe per event.
-    fn take_tombstone(&mut self, seq: u64) -> bool {
+    /// Marks the popped event `(at, seq)` done and reports whether it
+    /// carries a cancellation tombstone (consuming it). The empty-set
+    /// check keeps the no-cancellations case a branch, not a hash probe
+    /// per event.
+    fn pop_done(&mut self, at: SimTime, seq: u64) -> bool {
+        self.undone_from = (at, seq + 1);
         !self.cancelled.is_empty() && self.cancelled.remove(&seq)
     }
 
@@ -267,47 +263,27 @@ impl<W: World> Sim<W> {
         if self.scalar_reference {
             return self.run_until_scalar(world, deadline);
         }
-        loop {
-            // Drain the same-time lane: everything staged at `now`, plus
-            // whatever handlers append to it while it drains.
-            while let Some(ev) = self.lane.pop_front() {
-                if self.take_tombstone(ev.seq) {
-                    continue;
-                }
-                self.executed += 1;
-                world.handle(self, ev.event);
-            }
-            // Advance to the next timestamp and stage its whole batch.
-            let Some(t_nanos) = self.wheel.next_at() else {
-                return self.now;
-            };
+        while let Some(t_nanos) = self.future.next_at() {
             let t = SimTime::from_nanos(t_nanos);
             if t > deadline {
                 self.now = deadline;
                 return self.now;
             }
             debug_assert!(t >= self.now, "event queue went backwards");
+            let (_, seq, event) = self.future.pop().expect("next_at saw an entry");
             self.now = t;
-            self.stage_batch(t_nanos);
-        }
-    }
-
-    /// Moves every wheel event due exactly at `t_nanos` onto the lane,
-    /// dropping cancellation tombstones on the way.
-    fn stage_batch(&mut self, t_nanos: u64) {
-        let t = SimTime::from_nanos(t_nanos);
-        let (wheel, lane, cancelled) = (&mut self.wheel, &mut self.lane, &mut self.cancelled);
-        wheel.drain_at(t_nanos, &mut |seq, event| {
-            if !cancelled.is_empty() && cancelled.remove(&seq) {
-                return;
+            if self.pop_done(t, seq) {
+                continue;
             }
-            lane.push_back(Scheduled { at: t, seq, event });
-        });
+            self.executed += 1;
+            world.handle(self, event);
+        }
+        self.now
     }
 
-    /// The pre-batching scalar loop: pops one event per heap operation.
-    /// Kept as the differential-testing reference for the batched
-    /// [`Sim::run_until`]; only runs events scheduled in scalar mode.
+    /// The scalar loop: pops one event per heap operation. Kept as the
+    /// differential-testing reference for the default [`Sim::run_until`];
+    /// only runs events scheduled in scalar mode.
     fn run_until_scalar(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
         while let Some(head) = self.queue.peek() {
             if head.at > deadline {
@@ -317,7 +293,7 @@ impl<W: World> Sim<W> {
             let ev = self.queue.pop().expect("peeked entry must pop");
             debug_assert!(ev.at >= self.now, "event queue went backwards");
             self.now = ev.at;
-            if self.take_tombstone(ev.seq) {
+            if self.pop_done(ev.at, ev.seq) {
                 continue;
             }
             self.executed += 1;
@@ -330,35 +306,22 @@ impl<W: World> Sim<W> {
     pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
         let mut ran = 0;
         while ran < n {
-            if let Some(ev) = self.lane.pop_front() {
-                if self.take_tombstone(ev.seq) {
-                    continue;
-                }
-                self.executed += 1;
-                ran += 1;
-                world.handle(self, ev.event);
-                continue;
-            }
-            if self.scalar_reference {
+            let (at, seq, event) = if self.scalar_reference {
                 let Some(ev) = self.queue.pop() else { break };
-                self.now = ev.at;
-                if self.take_tombstone(ev.seq) {
-                    continue;
-                }
-                self.executed += 1;
-                ran += 1;
-                world.handle(self, ev.event);
+                (ev.at, ev.seq, ev.event)
+            } else {
+                let Some((at, seq, event)) = self.future.pop() else {
+                    break;
+                };
+                (SimTime::from_nanos(at), seq, event)
+            };
+            self.now = at;
+            if self.pop_done(at, seq) {
                 continue;
             }
-            // Lane empty: advance to the next timestamp and stage its
-            // whole batch, so later same-time schedules keep FIFO order
-            // with the not-yet-run remainder. Time advances even when the
-            // batch was all tombstones, matching the scalar loop.
-            let Some(t_nanos) = self.wheel.next_at() else {
-                break;
-            };
-            self.now = SimTime::from_nanos(t_nanos);
-            self.stage_batch(t_nanos);
+            self.executed += 1;
+            ran += 1;
+            world.handle(self, event);
         }
         ran
     }
@@ -448,8 +411,7 @@ mod tests {
 
     #[test]
     fn cancel_works_on_staged_same_time_events() {
-        // An event already staged in the same-time lane (scheduled at
-        // `now`) must still honour cancellation.
+        // An event scheduled at `now` must still honour cancellation.
         let mut sim: Sim<Log> = Sim::new();
         let mut w = Log::default();
         let id = sim.schedule(SimTime::ZERO, 1);
@@ -462,7 +424,49 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_false() {
         let mut sim: Sim<Log> = Sim::new();
-        assert!(!sim.cancel(EventId(42)));
+        assert!(!sim.cancel(EventId {
+            at: SimTime::ZERO,
+            seq: 42
+        }));
+    }
+
+    #[test]
+    fn cancel_after_run_is_false_and_leaves_no_tombstone() {
+        for scalar in [false, true] {
+            let mut sim: Sim<Log> = Sim::new();
+            sim.set_scalar_reference(scalar);
+            let mut w = Log::default();
+            let ran = sim.schedule(SimTime::from_millis(1), 1);
+            let dropped = sim.schedule(SimTime::from_millis(2), 2);
+            let tied = sim.schedule(SimTime::from_millis(2), 3);
+            assert!(sim.cancel(dropped));
+            sim.run(&mut w);
+            assert_eq!(w.0, vec![1, 3]);
+            assert!(!sim.cancel(ran), "executed events are not cancellable");
+            assert!(!sim.cancel(dropped), "a dropped tombstone is done too");
+            assert!(!sim.cancel(tied));
+            assert!(
+                sim.cancelled.is_empty(),
+                "no stale tombstone (scalar={scalar})"
+            );
+        }
+    }
+
+    #[test]
+    fn cancel_between_steps_of_one_timestamp_splits_at_the_right_event() {
+        // step() stops between events due at the same time: the rest of
+        // them are still pending.
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Log::default();
+        let t = SimTime::from_millis(1);
+        let ids: Vec<EventId> = (0..3).map(|i| sim.schedule(t, i)).collect();
+        assert_eq!(sim.step(&mut w, 1), 1);
+        assert!(!sim.cancel(ids[0]));
+        assert!(sim.cancel(ids[1]));
+        sim.run(&mut w);
+        assert_eq!(w.0, vec![0, 2]);
+        assert!(!sim.cancel(ids[2]));
+        assert!(sim.cancelled.is_empty());
     }
 
     #[test]
@@ -554,9 +558,8 @@ mod tests {
 
     #[test]
     fn same_time_chains_skip_the_heap() {
-        // A handler that schedules at `now` repeatedly: the chain lives
-        // entirely in the FIFO lane (this asserts behaviour, the lane is
-        // the mechanism).
+        // A handler that schedules at `now` repeatedly: every link runs at
+        // the same time and the queue is empty afterwards.
         #[derive(Default)]
         struct Chain(Vec<u64>);
         impl World for Chain {
@@ -631,11 +634,11 @@ mod tests {
 
     #[test]
     fn entering_scalar_mode_returns_staged_events_to_the_heap() {
-        // Events staged in the same-time lane before the mode flip (the
+        // Events scheduled at `now` before the mode flip (the
         // build-then-flip pattern) must survive it in order.
         let mut sim: Sim<Log> = Sim::new();
         let mut w = Log::default();
-        sim.schedule(SimTime::ZERO, 1); // lane
+        sim.schedule(SimTime::ZERO, 1);
         sim.schedule(SimTime::from_millis(1), 2);
         sim.set_scalar_reference(true);
         assert_eq!(sim.pending(), 2);

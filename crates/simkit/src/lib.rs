@@ -14,7 +14,7 @@
 //! * [`slab`] — a free-list slab parking large event payloads
 //!   ([`slab::Slab`]);
 //! * [`rng`] — seeded, label-splittable random streams ([`rng::SimRng`]);
-//! * [`metrics`] — summaries, exact-percentile sample sets and counters.
+//! * [`metrics`] — exact-percentile sample sets and counters.
 //!
 //! # Examples
 //!
@@ -57,7 +57,7 @@ mod wheel;
 /// One-line import for the common types.
 pub mod prelude {
     pub use crate::engine::{EventId, Sim, World};
-    pub use crate::metrics::{Counters, Samples, Summary};
+    pub use crate::metrics::{Counters, Samples};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime, VirtNanos, VirtOffset};
 }

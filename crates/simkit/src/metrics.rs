@@ -1,126 +1,8 @@
 //! Lightweight measurement collectors used across the reproduction:
-//! running summaries, sample sets with exact percentiles, and counters.
+//! sample sets with exact percentiles, and counters.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Online running summary (count / mean / variance / min / max) using
-/// Welford's algorithm. Constant memory; no percentiles.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::metrics::Summary;
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] { s.record(x); }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 for < 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (+inf when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (-inf when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n;
-        self.m2 += other.m2 + d * d * self.n as f64 * other.n as f64 / n;
-        self.mean = mean;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.n == 0 {
-            return write!(f, "n=0");
-        }
-        write!(
-            f,
-            "n={} mean={:.4} sd={:.4} min={:.4} max={:.4}",
-            self.n,
-            self.mean(),
-            self.std_dev(),
-            self.min,
-            self.max
-        )
-    }
-}
 
 /// Stores every observation; supports exact quantiles and empirical CDFs.
 ///
@@ -227,17 +109,8 @@ impl Samples {
         &self.xs
     }
 
-    /// Converts to a [`Summary`].
-    pub fn summary(&self) -> Summary {
-        let mut s = Summary::new();
-        for &x in &self.xs {
-            s.record(x);
-        }
-        s
-    }
-
     /// Merges another sample set into this one (observation multiset
-    /// union, like [`Summary::merge`] but keeping exact quantiles).
+    /// union).
     ///
     /// # Examples
     ///
@@ -420,53 +293,6 @@ impl fmt::Display for Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn summary_merge_matches_combined() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Summary::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 3 == 0 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        let before = a.mean();
-        a.merge(&Summary::new());
-        assert_eq!(a.mean(), before);
-        let mut e = Summary::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 1);
-    }
 
     #[test]
     fn samples_quantiles_and_ecdf() {

@@ -1,9 +1,30 @@
-//! Hierarchical time-wheel backing the batched event queue.
+//! The engine's event queue: a sorted near-run in front of a hierarchical
+//! time-wheel.
 //!
-//! The batched run loop's access pattern is "pop every event at the next
-//! timestamp, then jump there": a classic hierarchical timing wheel serves
-//! it with O(1) inserts and per-*batch* (not per-event) advancement, where
-//! the binary heap paid a log-depth sift per event. Layout:
+//! The run loop pops the earliest event, runs it, and usually schedules a
+//! few more close behind it; the set it pops from is small. Measured at
+//! every pop, most simulated scenarios hold 4–12 pending entries on
+//! average, the cache-channel StopWatch cells a few hundred at peak, and
+//! only Fig. 5's 10 MB UDP-NAK retransmission storm reaches ~1.5 M.
+//! [`Queue`] therefore keeps two tiers:
+//!
+//! * The **run**: a `Vec` sorted *descending* by `(at, seq)`, so the
+//!   earliest entry pops from the back. It holds every pending entry before
+//!   a `horizon`; an insert is a binary search plus a short memmove, and a
+//!   pop is a `Vec::pop`. An event due at the current time lands at the
+//!   back, behind the other entries due now. While the wheel is empty the
+//!   horizon is `u64::MAX` and the run is the whole queue.
+//! * The **wheel** ([`Wheel`]) holds everything at or after the horizon.
+//!   When an insert grows the run past [`RUN_MAX`], the run's later half
+//!   spills into the wheel and the horizon drops to the first spilled time.
+//!   When the run empties, the next [`PULL_SPAN`] of virtual time is pulled
+//!   back (cut at a timestamp boundary once [`PULL_MAX`] entries are in),
+//!   and once the wheel has been emptied the queue is run-only again.
+//!
+//! A small pending set never touches the wheel; a large one still gets the
+//! wheel's O(1) filing and pays one extra copy per entry on the way out.
+//!
+//! The wheel itself:
 //!
 //! * [`LEVELS`] levels of 64 slots each; level 0 slots are 2^12 ns
 //!   (~4.1 µs) wide and each level's slots are 64× the previous, so the
@@ -22,14 +43,27 @@
 //!   stops allocating once its first few buckets have been used, and a
 //!   steady-state run performs no queue allocations at all.
 //!
-//! Exactness: the wheel reproduces the heap's `(at, seq)` total order
-//! bit-for-bit. A drained bucket is sorted by `(at, seq)` before delivery,
-//! and [`Wheel::next_at`] is read-only so probing the queue (e.g. against
-//! a `run_until` deadline) commits nothing. Cursor movement — and thus
-//! cascading — happens only in [`Wheel::drain_at`], once the engine has
-//! committed to executing that timestamp. The scalar reference loop keeps
-//! using the binary heap; the differential tests in `engine` and the
-//! `engine_wheel` proptests pin the two orders against each other.
+//! Exactness: the queue reproduces the heap's `(at, seq)` total order
+//! bit-for-bit. Every run entry precedes every wheel entry (`run < horizon
+//! <= wheel`), a drained wheel bucket is sorted by `(at, seq)` before
+//! delivery, and [`Queue::next_at`] is read-only so probing the queue
+//! (e.g. against a `run_until` deadline) commits nothing. Spills, pulls and
+//! wheel cursor movement happen only in [`Queue::insert`] and
+//! [`Queue::pop`]. A pull moves the wheel's cursor up to the last
+//! pulled timestamp, which can lie ahead of the engine's clock, so a spill
+//! never files below the cursor: its horizon is clamped to it. The scalar
+//! reference loop keeps using the binary heap; the differential tests in
+//! `engine` and the `engine_wheel` proptests pin the two orders against
+//! each other.
+
+/// Run length past which an insert spills the run's later half into the
+/// wheel.
+const RUN_MAX: usize = 64;
+/// A pull stops at the first timestamp after this many entries, so a
+/// dense stretch of the wheel cannot refill the run past [`RUN_MAX`].
+const PULL_MAX: usize = RUN_MAX / 2;
+/// Virtual time a pull brings back from the wheel: 2^20 ns ≈ 1 ms.
+const PULL_SPAN: u64 = 1 << 20;
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64 slots per level
@@ -57,9 +91,128 @@ pub(crate) struct Entry<T> {
     pub item: T,
 }
 
+/// The event queue: the sorted run plus the wheel behind it.
+pub(crate) struct Queue<T> {
+    /// Every pending entry before `horizon`, sorted *descending* by
+    /// `(at, seq)`: the earliest pops from the back.
+    run: Vec<Entry<T>>,
+    /// Invariant: `run < horizon <= wheel` (by `at`), and
+    /// `horizon >= wheel.cur` so a spill can always be filed. `u64::MAX`
+    /// while the queue is run-only.
+    horizon: u64,
+    wheel: Wheel<T>,
+}
+
+impl<T> Queue<T> {
+    pub fn new() -> Self {
+        Queue {
+            // Sized to the spill bound, which the run rarely outgrows.
+            run: Vec::with_capacity(RUN_MAX + 1),
+            horizon: u64::MAX,
+            wheel: Wheel::new(),
+        }
+    }
+
+    /// Entries stored (cancellation tombstones included, like the heap).
+    pub fn len(&self) -> usize {
+        self.run.len() + self.wheel.len()
+    }
+
+    pub fn insert(&mut self, at: u64, seq: u64, item: T) {
+        if at >= self.horizon {
+            self.wheel.insert(at, seq, item);
+            return;
+        }
+        let pos = self.run.partition_point(|e| (e.at, e.seq) > (at, seq));
+        self.run.insert(pos, Entry { at, seq, item });
+        if self.run.len() > RUN_MAX {
+            self.spill();
+        }
+    }
+
+    /// Files the run's later half into the wheel and lowers the horizon
+    /// to the first spilled time.
+    fn spill(&mut self) {
+        let mut h = self.run[self.run.len() / 2].at;
+        if self.wheel.len() == 0 {
+            // Nothing is filed against the cursor: move it to the new
+            // horizon, so the spill files as low in the wheel as it can.
+            self.wheel.reset_cursor(h);
+        } else {
+            // A pull may have left the cursor ahead of the run's entries;
+            // the wheel cannot take anything before it.
+            h = h.max(self.wheel.cur);
+        }
+        // The run is descending, so the entries at or after `h` are its
+        // front.
+        let k = self.run.partition_point(|e| e.at >= h);
+        if k == 0 {
+            return;
+        }
+        for e in self.run.drain(..k) {
+            self.wheel.insert(e.at, e.seq, e.item);
+        }
+        self.horizon = h;
+    }
+
+    /// Refills the empty run with the wheel's earliest stretch.
+    fn pull(&mut self) {
+        debug_assert!(self.run.is_empty());
+        let Some(first) = self.wheel.next_at() else {
+            self.horizon = u64::MAX;
+            return;
+        };
+        let end = first.saturating_add(PULL_SPAN);
+        let mut t = first;
+        loop {
+            let run = &mut self.run;
+            self.wheel
+                .drain_at(t, &mut |seq, item| run.push(Entry { at: t, seq, item }));
+            match self.wheel.next_at() {
+                Some(next) if next < end && self.run.len() < PULL_MAX => t = next,
+                next => {
+                    self.horizon = next.unwrap_or(u64::MAX);
+                    break;
+                }
+            }
+        }
+        // Drained ascending; the run pops from the back.
+        self.run.reverse();
+        debug_assert!(self.horizon >= self.wheel.cur);
+    }
+
+    /// The earliest stored deadline. Read-only: no pull, no cursor
+    /// movement — safe to call for deadline probes that never commit.
+    pub fn next_at(&self) -> Option<u64> {
+        match self.run.last() {
+            Some(e) => Some(e.at),
+            None => self.wheel.next_at(),
+        }
+    }
+
+    /// Removes the earliest entry, as `(at, seq, item)`.
+    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+        if self.run.is_empty() {
+            self.pull();
+        }
+        self.run.pop().map(|e| (e.at, e.seq, e.item))
+    }
+
+    /// Empties the queue through `sink` in no particular order (the
+    /// scalar-mode migration re-sorts via the heap).
+    pub fn drain_all(&mut self, sink: &mut impl FnMut(u64, u64, T)) {
+        for e in self.run.drain(..) {
+            sink(e.at, e.seq, e.item);
+        }
+        self.wheel.drain_all(sink);
+        self.horizon = u64::MAX;
+    }
+}
+
+/// The hierarchical time-wheel behind the run.
 pub(crate) struct Wheel<T> {
-    /// Cursor: the last committed timestamp. Invariant: `cur` never
-    /// exceeds the engine's `now`, and every stored entry has `at >= cur`.
+    /// Cursor: the last drained timestamp (a pull can take it past the
+    /// engine's `now`). Invariant: every stored entry has `at >= cur`.
     cur: u64,
     len: usize,
     /// Per-level slot-occupancy bitmaps.
@@ -110,6 +263,13 @@ impl<T> Wheel<T> {
             }
         }
         self.insert_raw(Entry { at, seq, item });
+    }
+
+    /// Moves the cursor of an empty wheel to `t`.
+    fn reset_cursor(&mut self, t: u64) {
+        debug_assert_eq!(self.len, 0, "cursor reset on a non-empty wheel");
+        debug_assert!(self.active_slot.is_none());
+        self.cur = t;
     }
 
     /// Files an entry relative to the current cursor without touching the
@@ -315,6 +475,87 @@ mod tests {
         let mut out = Vec::new();
         w.drain_at(t, &mut |seq, item| out.push((seq, item)));
         Some((t, out))
+    }
+
+    /// Pops a queue to empty, returning `(at, seq)` in delivery order.
+    fn drain_queue(q: &mut Queue<()>) -> Vec<(u64, u64)> {
+        let mut got = Vec::new();
+        while let Some(t) = q.next_at() {
+            let (at, seq, ()) = q.pop().expect("next_at saw an entry");
+            assert_eq!(at, t, "pop takes what next_at saw");
+            got.push((at, seq));
+        }
+        got
+    }
+
+    #[test]
+    fn queue_is_run_only_until_the_bound_then_spills_its_later_half() {
+        let mut q: Queue<()> = Queue::new();
+        for seq in 0..RUN_MAX as u64 {
+            q.insert(1000 * (seq + 1), seq, ());
+        }
+        assert_eq!((q.run.len(), q.wheel.len()), (RUN_MAX, 0));
+        assert_eq!(q.horizon, u64::MAX);
+        q.insert(500, RUN_MAX as u64, ());
+        assert!(q.run.len() <= RUN_MAX / 2 + 1 && q.wheel.len() > 0);
+        assert_eq!(q.run.len() + q.wheel.len(), RUN_MAX + 1);
+        assert!(q.run.iter().all(|e| e.at < q.horizon));
+        // Later work now files in the wheel; earlier work still in the run.
+        q.insert(1 << 30, 1000, ());
+        q.insert(700, 1001, ());
+        let got = drain_queue(&mut q);
+        let mut want = got.clone();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        assert_eq!(got.len(), RUN_MAX + 3);
+        assert_eq!(
+            q.horizon,
+            u64::MAX,
+            "an emptied wheel makes the queue run-only"
+        );
+    }
+
+    #[test]
+    fn spill_after_a_pull_never_files_behind_the_wheel_cursor() {
+        let mut q: Queue<()> = Queue::new();
+        let mut seq = 0u64;
+        for i in 1..=200u64 {
+            q.insert(1000 * i, seq, ());
+            seq += 1;
+        }
+        // Empty the run, then pop once more: that pop pulls.
+        let mut got = Vec::new();
+        while !q.run.is_empty() {
+            let (at, s, ()) = q.pop().unwrap();
+            got.push((at, s));
+        }
+        let (now, s, ()) = q.pop().unwrap();
+        got.push((now, s));
+        assert!(q.wheel.len() > 0, "the pull left work in the wheel");
+        assert!(q.wheel.cur > now, "the pull moved the cursor past now");
+        // A burst between now and the cursor overfills the run.
+        for d in 1..=2 * RUN_MAX as u64 {
+            q.insert(now + d, seq, ());
+            seq += 1;
+        }
+        assert!(q.horizon >= q.wheel.cur);
+        assert!(q.run.iter().all(|e| e.at < q.horizon));
+        got.extend(drain_queue(&mut q));
+        let mut want = got.clone();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        assert_eq!(got.len() as u64, seq);
+    }
+
+    #[test]
+    fn a_same_time_flood_spills_whole_and_returns_in_seq_order() {
+        let mut q: Queue<()> = Queue::new();
+        for seq in 0..1000u64 {
+            q.insert(42, seq, ());
+        }
+        let got = drain_queue(&mut q);
+        assert_eq!(got, (0..1000).map(|s| (42, s)).collect::<Vec<_>>());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

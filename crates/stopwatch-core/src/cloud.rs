@@ -391,11 +391,6 @@ impl Cloud {
         &self.hosts[idx]
     }
 
-    /// Mutable host access (activity levels, program extraction).
-    pub fn host_mut(&mut self, idx: usize) -> &mut HostMachine {
-        &mut self.hosts[idx]
-    }
-
     /// The replica placements of a VM.
     pub fn vm_replicas(&self, vm: VmHandle) -> &[(usize, usize)] {
         &self.vms[vm.index].replicas

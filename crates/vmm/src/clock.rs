@@ -110,13 +110,6 @@ impl VirtualClock {
         self.epochs_applied
     }
 
-    /// Branch count at which the next epoch ends, if epochs are enabled.
-    pub fn next_epoch_at(&self) -> Option<u64> {
-        self.epochs
-            .as_ref()
-            .map(|e| self.base_instr + e.interval_instr)
-    }
-
     /// Applies the epoch update at the end of the current epoch, given the
     /// *median* real time `median_real` (R*) across replicas and the
     /// *matching machine's* epoch duration `median_duration` (D*).

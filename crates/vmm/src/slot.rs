@@ -381,11 +381,6 @@ impl GuestSlot {
         &self.delivered_log
     }
 
-    /// Fingerprint of the guest's disk state (replica divergence checks).
-    pub fn disk_fingerprint(&self) -> u64 {
-        self.image.content_fingerprint()
-    }
-
     /// A mutable handle to the guest program (for extracting recorded
     /// observations after a run).
     pub fn program_mut(&mut self) -> &mut dyn GuestProgram {

@@ -74,8 +74,8 @@ fn repeated_runs_are_identical() {
     assert_eq!(sweep_json(4), sweep_json(4), "same spec, same bytes");
 }
 
-/// The hot-path batching contract: the batched engine (same-time FIFO
-/// lane, burst median agreement) and the retained scalar reference paths
+/// The hot-path batching contract: the batched engine (sorted run +
+/// time-wheel queue, burst median agreement) and the retained scalar reference paths
 /// (one heap pop per event, one median per proposal) must produce
 /// **byte-identical** sweep JSON — batching changed speed, not behavior.
 /// `events_executed` is embedded per cell, so even a silently
